@@ -1,7 +1,7 @@
 """dlab: batch experiment runner exposing every verification scan as a subcommand.
 
-Every run records its resolved configuration, a deterministic seed and a
-manifest of produced files; reruns with an identical config reproduce all
+Every run records its resolved configuration (with a seed for the commands
+that sample) and a manifest of produced files; reruns with an identical config reproduce all
 deterministic CSV outputs byte for byte. Exit codes: 0 success, 2 config
 error, 3 memory budget exceeded.
 """
@@ -315,8 +315,7 @@ _BOOL = lambda v: str(v).lower() in ("1", "true", "yes")
 COMMANDS = {
     "count": (_run_count, {
         "d": (_INT, 3), "b": (_parse_int_list, [2]), "N": (_parse_int_list, [8, 16]),
-        "table": (_BOOL, False), "mem_budget": (_INT, counting.DEFAULT_MEM_BUDGET),
-        "seed": (_INT, 0)}),
+        "table": (_BOOL, False), "mem_budget": (_INT, counting.DEFAULT_MEM_BUDGET)}),
     "strichartz": (_run_strichartz, {
         "d": (_INT, 5), "p": (_parse_int_list, [12]), "N": (_parse_int_list, [8, 16]),
         "strategies": (lambda v: [s for s in str(v).split(",") if s],
@@ -335,16 +334,15 @@ COMMANDS = {
         "seed": (_INT, 0)}),
     "illposed": (_run_illposed, {
         "case": (str, "p1"), "s": (_FLOAT, 0.3), "eps": (_FLOAT, 1.0),
-        "t": (_FLOAT, 0.01), "N": (_parse_int_list, [16, 32, 64, 128, 256]),
-        "seed": (_INT, 0)}),
+        "t": (_FLOAT, 0.01), "N": (_parse_int_list, [16, 32, 64, 128, 256])}),
     "solve": (_run_solve, {
         "amp": (_FLOAT, 0.1), "mode": (_INT, 1), "delta": (_FLOAT, 1e-3),
         "s": (_FLOAT, 1.0), "band_cap": (_INT, 12), "max_iter": (_INT, 8),
-        "time_samples": (_INT, 257), "seed": (_INT, 0)}),
+        "time_samples": (_INT, 257)}),
     "gauge-check": (_run_gauge_check, {
         "amp": (_FLOAT, 0.1), "mode": (_INT, 1), "k": (_INT, 2),
         "delta": (_FLOAT, 1e-3), "s": (_FLOAT, 1.0), "band_cap": (_INT, 12),
-        "max_iter": (_INT, 6), "time_samples": (_INT, 257), "seed": (_INT, 0)}),
+        "max_iter": (_INT, 6), "time_samples": (_INT, 257)}),
     "embeddings": (_run_embeddings, {
         "N": (_parse_int_list, [4, 8, 16]), "delta": (_FLOAT, 0.5),
         "samples": (_INT, 100_000), "seed": (_INT, 0)}),
@@ -383,7 +381,7 @@ def _resolve_config(command, file_values, flag_values):
                 cfg[key] = parser(raw)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"invalid value for {key}: {raw!r} ({exc})")
-    unknown = set(file_values) - set(schema)
+    unknown = (set(file_values) | set(flag_values)) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return cfg
@@ -403,8 +401,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads inside a run (advisory)")
     args = parser.parse_args(argv)
 
     try:

@@ -357,21 +357,45 @@ def max_offcurve_solution_count(d: int, N: int) -> int:
     return int(counts.max()) if len(counts) else 0
 
 
-@lru_cache(maxsize=4)
+_SIEVE_BLOCK = 1 << 14  # entries per numpy step of the mu/phi recurrence
+
+
 def mobius_phi_sieve(limit: int = DEFAULT_SIEVE_LIMIT):
-    """(mu, phi, spf) arrays on [0, limit] by a smallest-prime-factor sieve."""
+    """(mu, phi, spf) int64 arrays on [0, limit] by a smallest-prime-factor sieve.
+
+    Tables are cached per limit, so every caller of the same limit shares
+    one read-only set.
+    """
+    return _sieve(int(limit))
+
+
+@lru_cache(maxsize=4)
+def _sieve(limit: int):
     spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
+            # multiples below p^2 already carry a smaller prime factor
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
     mu = np.ones(limit + 1, dtype=np.int64)
     phi = np.arange(limit + 1, dtype=np.int64)
     mu[0] = 0
-    for m in range(2, limit + 1):
-        p = int(spf[m])
+    # m = p * rest with p = spf(m) and rest <= m / 2, so on a block
+    # [lo, hi) with hi <= 2 lo every rest lies below lo and is already filled
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + _SIEVE_BLOCK, limit + 1)
+        m = np.arange(lo, hi, dtype=np.int64)
+        p = spf[lo:hi]
+        prime = p == 0
+        p[prime] = m[prime]
         rest = m // p
-        mu[m] = 0 if rest % p == 0 else -mu[rest]
-        phi[m] = phi[rest] * (p if rest % p == 0 else p - 1)
+        square = rest % p == 0
+        mu[lo:hi] = np.where(square, 0, -mu[rest])
+        phi[lo:hi] = phi[rest] * np.where(square, p, p - 1)
+        lo = hi
+    for table in (mu, phi, spf):
+        table.setflags(write=False)
     return mu, phi, spf
 
 
@@ -395,15 +419,22 @@ def mobius(n: int) -> int:
     raise ValueError(f"mobius beyond sieve limit {len(mu) - 1}")
 
 
-def ramanujan_sum(q: int, n: int) -> int:
-    """c_q(n) = sum over delta | gcd(q, n) of delta * mu(q/delta), with gcd(q, 0) = q."""
-    if q < 1:
+def ramanujan_sum(q, n):
+    """c_q(n) = mu(q/g) phi(q) / phi(q/g) with g = gcd(q, n), and gcd(q, 0) = q.
+
+    The Moebius quotient form of sum over delta | g of delta * mu(q/delta),
+    read off the shared sieve. Broadcasts over array q and n (int64
+    result); scalar inputs give an int.
+    """
+    q = np.asarray(q, dtype=np.int64)
+    if np.any(q < 1):
         raise ValueError("q must be positive")
-    g = q if n == 0 else math.gcd(q, abs(int(n)))
-    total = 0
-    for delta in _divisors(g):
-        total += delta * mobius(q // delta)
-    return total
+    mu, phi, _ = mobius_phi_sieve()
+    if np.any(q >= len(mu)):
+        raise ValueError(f"q beyond sieve limit {len(mu) - 1}")
+    qg = q // np.gcd(q, np.asarray(n, dtype=np.int64))
+    c = mu[qg] * (phi[q] // phi[qg])
+    return int(c) if c.ndim == 0 else c
 
 
 def ramanujan_sum_direct(q: int, n: int) -> complex:
@@ -424,5 +455,5 @@ def divisor_count(n: int, Q: int) -> int:
 
 def ramanujan_block_ratio(Q: int, n: int, eps: float = 0.05) -> float:
     """sum_{Q <= q < 2Q} |c_q(n)| divided by d(n, Q) * Q^{1+eps}."""
-    block = sum(abs(ramanujan_sum(q, n)) for q in range(Q, 2 * Q))
+    block = int(np.abs(ramanujan_sum(np.arange(Q, 2 * Q), n)).sum())
     return block / (divisor_count(n, Q) * Q ** (1.0 + eps))

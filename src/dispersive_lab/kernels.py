@@ -1,46 +1,10 @@
-"""Hot numeric kernels with a compiled core and a numpy fallback.
-
-The curve-sum evaluator dominates the runtime of Monte Carlo level-set
-scans. A Cython build of the inner loop is used when the compiled module
-is importable; otherwise the numpy implementation below is selected at
-import time. Both satisfy the same contract and are compared by
-``benchmarks/bench_kernels.py``.
-"""
+"""The curve-sum kernel, the hot loop of Monte Carlo level-set scans."""
 
 from __future__ import annotations
 
 import numpy as np
 
-try:  # compiled core, optional
-    from . import _curve_ext  # type: ignore[attr-defined]
-
-    HAVE_COMPILED = True
-except ImportError:
-    _curve_ext = None
-    HAVE_COMPILED = False
-
-
-def curve_sum_numpy(coeff: np.ndarray, powers: np.ndarray, x: np.ndarray,
-                    t: np.ndarray, scale: float) -> np.ndarray:
-    """sum_m coeff[m] * exp(i*scale*(n_m*x + p_m*t)) over sample points.
-
-    ``coeff`` is indexed by mode m with integer frequencies n_m = modes[m]
-    and curve heights p_m = powers[m]; evaluated pointwise on (x, t).
-    """
-    modes = np.arange(-(len(coeff) // 2), len(coeff) // 2 + 1)
-    out_re = np.zeros(len(x))
-    out_im = np.zeros(len(x))
-    for m, (n, p) in enumerate(zip(modes, powers)):
-        c = coeff[m]
-        if c == 0:
-            continue
-        phase = scale * (n * x + p * t)
-        cr, ci = c.real, c.imag
-        cos_p = np.cos(phase)
-        sin_p = np.sin(phase)
-        out_re += cr * cos_p - ci * sin_p
-        out_im += cr * sin_p + ci * cos_p
-    return out_re + 1j * out_im
+HAVE_COMPILED = False  # numpy is the only backend; kept for run records
 
 
 def curve_sum(coeff, d: int, x, t, scale: float = 2.0 * np.pi) -> np.ndarray:
@@ -59,6 +23,16 @@ def curve_sum(coeff, d: int, x, t, scale: float = 2.0 * np.pi) -> np.ndarray:
     t = np.ascontiguousarray(t, dtype=np.float64)
     if x.shape != t.shape:
         raise ValueError("x and t must have matching shapes")
-    if HAVE_COMPILED:
-        return _curve_ext.curve_sum(coeff, powers.astype(np.float64), x, t, float(scale))
-    return curve_sum_numpy(coeff, powers, x, t, float(scale))
+    scale = float(scale)
+    out_re = np.zeros(len(x))
+    out_im = np.zeros(len(x))
+    for n, p, c in zip(modes, powers, coeff):
+        if c == 0:
+            continue
+        phase = scale * (n * x + p * t)
+        cr, ci = c.real, c.imag
+        cos_p = np.cos(phase)
+        sin_p = np.sin(phase)
+        out_re += cr * cos_p - ci * sin_p
+        out_im += cr * sin_p + ci * cos_p
+    return out_re + 1j * out_im

@@ -3,7 +3,8 @@
 The circle-method side of the lab: a smooth bump is planted on the Farey
 arcs [a/q + 1/(200 q^2), a/q + 1/(100 q^2)] for q in [Q, 5Q], its Fourier
 coefficients are evaluated through Ramanujan sums (O(Q) work per
-coefficient instead of an O(Q^2) Farey sum), and the Dirichlet curve kernel
+coefficient instead of an O(Q^2) Farey sum) by one batched evaluator,
+``PhiData.phi_hat_many``, and the Dirichlet curve kernel
 K_N splits into a bounded major-arc part and a part with uniformly small
 Fourier coefficients vanishing on the curve.
 """
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import mobius_phi_sieve
+from .counting import DEFAULT_SIEVE_LIMIT, mobius_phi_sieve, ramanujan_sum
 from .kernels import curve_sum
 
 TWO_PI = 2.0 * math.pi
@@ -197,7 +198,9 @@ class BumpSpec:
         xi_max = min(max(xi_max, 64.0), self.XI_DEAD)
         if self._table_xi is not None and self._table_xi[-1] >= xi_max + 2 * self._STEP:
             return
-        grid = np.arange(0.0, xi_max * 1.25 + 8 * self._STEP, self._STEP)
+        # 25% headroom against regrowth, but none past XI_DEAD, where the
+        # table is never read and the quadrature is dearest
+        grid = np.arange(0.0, min(xi_max * 1.25, self.XI_DEAD) + 8 * self._STEP, self._STEP)
         vals = self.fourier_transform_quad(grid)
         self._table_xi = grid
         self._table_val = vals
@@ -212,20 +215,25 @@ class BumpSpec:
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
         mag = np.abs(xi_arr)
         alive = mag < self.XI_DEAD
-        peak = float(mag[alive].max()) if alive.any() else 1.0
-        self._ensure_table(peak)
-        out = np.zeros(len(xi_arr), dtype=np.complex128)
-        m = mag[alive]
+        every = bool(alive.all())  # skips the masked copies in the common case
+        m = mag if every else mag[alive]
+        self._ensure_table(float(m.max()) if len(m) else 1.0)
         pos = m / self._STEP
         i0 = np.clip(pos.astype(np.int64) - 1, 0, len(self._table_xi) - 4)
         s = pos - i0  # in [1, 2) away from the edges
-        w0 = -(s - 1) * (s - 2) * (s - 3) / 6.0
-        w1 = s * (s - 2) * (s - 3) / 2.0
-        w2 = -s * (s - 1) * (s - 3) / 2.0
-        w3 = s * (s - 1) * (s - 2) / 6.0
+        s1, s2, s3 = s - 1, s - 2, s - 3
+        w0 = -s1 * s2 * s3 / 6.0
+        w1 = s * s2 * s3 / 2.0
+        w2 = -s * s1 * s3 / 2.0
+        w3 = s * s1 * s2 / 6.0
         tv = self._table_val
         val = w0 * tv[i0] + w1 * tv[i0 + 1] + w2 * tv[i0 + 2] + w3 * tv[i0 + 3]
-        out[alive] = np.where(xi_arr[alive] >= 0, val, np.conj(val))
+        val.imag[(xi_arr if every else xi_arr[alive]) < 0] *= -1  # conjugate
+        if every:
+            out = val
+        else:
+            out = np.zeros(len(xi_arr), dtype=np.complex128)
+            out[alive] = val
         return out if np.ndim(xi) else out[0]
 
     @property
@@ -240,13 +248,7 @@ DEFAULT_BUMP = BumpSpec()
 # the Farey bump Phi and its Fourier coefficients
 
 
-def _ramanujan_row(q_arr: np.ndarray, k: int, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """c_q(k) for an array of q, via c_q(k) = mu(q/g) phi(q) / phi(q/g), g = gcd(q, k)."""
-    if k == 0:
-        return phi[q_arr].astype(np.float64)
-    g = np.gcd(q_arr, np.int64(abs(k)))
-    qg = q_arr // g
-    return mu[qg] * (phi[q_arr] // phi[qg]).astype(np.float64)
+_BLOCK_CELLS = 1 << 15  # (k, q) cells per phi_hat_many block; 32k-64k measured fastest
 
 
 @dataclass
@@ -261,8 +263,10 @@ class PhiData:
             raise ValueError("Q must be >= 2")
         self.q_lo = self.Q
         self.q_hi = 5 * self.Q
-        mu, phi, _ = mobius_phi_sieve(max(1_000_000, self.q_hi + 1))
-        self._mu, self._phi = mu, phi
+        if self.q_hi > DEFAULT_SIEVE_LIMIT:
+            raise ValueError(f"moduli up to 5Q = {self.q_hi} exceed the sieve limit "
+                             f"{DEFAULT_SIEVE_LIMIT}")
+        self._phi = mobius_phi_sieve()[1]
         self._q = np.arange(self.q_lo, self.q_hi + 1, dtype=np.int64)
         self._inv_q2 = 1.0 / (self._q.astype(np.float64) ** 2)
 
@@ -271,39 +275,35 @@ class PhiData:
         tot = float(np.sum(self._phi[self._q] * self._inv_q2))
         return tot * self.bump.transform_at_zero
 
-    def phi_hat(self, k: int) -> complex:
-        """Phi_hat(k) = sum_{q ~ Q} (c_q(k)/q^2) * F phi(k/q^2), exactly per q."""
-        c = _ramanujan_row(self._q, int(k), self._mu, self._phi)
-        f = self.bump.fourier_transform(k * self._inv_q2)
-        return complex(np.sum(c * self._inv_q2 * f))
-
     def phi_hat_many(self, ks) -> np.ndarray:
-        return np.array([self.phi_hat(int(k)) for k in np.atleast_1d(ks)])
+        """Phi_hat(k) = sum_{q ~ Q} (c_q(k)/q^2) * F phi(k/q^2) for every k in ks.
+
+        Exact Ramanujan sums per (k, q) cell, the tabulated bump transform,
+        and a pairwise sum over q per k, on blocks of _BLOCK_CELLS cells.
+        """
+        ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
+        out = np.empty(len(ks), dtype=np.complex128)
+        if len(ks) == 0:
+            return out
+        # one table growth up front; growing it block by block costs more
+        # than the coefficients themselves
+        self.bump._ensure_table(float(np.abs(ks).max()) * self._inv_q2[0])
+        rows = max(1, _BLOCK_CELLS // len(self._q))
+        for i in range(0, len(ks), rows):
+            kb = ks[i:i + rows, None]
+            c = ramanujan_sum(self._q, kb)
+            xi = kb * self._inv_q2
+            f = self.bump.fourier_transform(xi.ravel()).reshape(xi.shape)
+            out[i:i + rows] = np.sum(c * self._inv_q2 * f, axis=1)
+        return out
+
+    def phi_hat(self, k: int) -> complex:
+        """Phi_hat(k) for one k."""
+        return complex(self.phi_hat_many(k)[0])
 
     def phi_hat_dense(self, k_max: int) -> np.ndarray:
-        """Phi_hat on k = 0..k_max via per-divisor stride accumulation.
-
-        Work is ~ sum_{q ~ Q} sigma(q)/q * k_max array updates, so this is
-        only for moderate Q; the exact per-k path serves larger Q. Each q's
-        strides stop where the bump transform goes dead (k > XI_DEAD * q^2).
-        """
-        out = np.zeros(k_max + 1, dtype=np.complex128)
-        mu = self._mu
-        for q in range(self.q_lo, self.q_hi + 1):
-            inv_q2 = 1.0 / (q * q)
-            k_live = min(k_max, int(self.bump.XI_DEAD * q * q) + 1)
-            dd = 1
-            while dd * dd <= q:
-                if q % dd == 0:
-                    for delta in {dd, q // dd}:
-                        m = mu[q // delta]
-                        if m == 0:
-                            continue
-                        ks = np.arange(0, k_live + 1, delta)
-                        f = self.bump.fourier_transform(ks * inv_q2)
-                        out[:k_live + 1:delta] += (delta * m * inv_q2) * f
-                dd += 1
-        return out
+        """Phi_hat on k = 0..k_max."""
+        return self.phi_hat_many(np.arange(k_max + 1))
 
     def arcs(self):
         """All (a, q) with q in [Q, 5Q], 1 <= a <= q, gcd(a, q) = 1."""
@@ -396,7 +396,7 @@ def phi_hat_max_scan(phi: PhiData, k_limit: int | None = None,
     Q = phi.Q
     if k_limit is None:
         k_limit = int(2 * Q ** 1.5)
-    _, _, spf = mobius_phi_sieve(max(1_000_000, phi.q_hi + 1))
+    _, _, spf = mobius_phi_sieve()
     candidates = set()
     for q in range(Q, min(Q + 256, 5 * Q) + 1):
         for m in (1, 2, 3, 4, 5):
@@ -416,17 +416,16 @@ def phi_hat_max_scan(phi: PhiData, k_limit: int | None = None,
     candidates.update(val for _, val in scored[:smooth_keep])
     dense_k = dense_limit if dense_limit is not None else (4 * Q if Q <= 1024 else 0)
     dense_k = min(dense_k, k_limit)
+    # ascending k, so argmax's first maximum keeps ties on the first k found
+    ks = np.concatenate((np.arange(1, dense_k + 1, dtype=np.int64),
+                         np.array(sorted(k for k in candidates if dense_k < k <= k_limit),
+                                  dtype=np.int64)))
     best_abs, best_k = 0.0, 0
-    if dense_k > 0:
-        dense = phi.phi_hat_dense(dense_k)
-        idx = int(np.argmax(np.abs(dense[1:]))) + 1
-        best_abs, best_k = float(abs(dense[idx])), idx
-    for k in sorted(candidates):
-        if k == 0 or k <= dense_k or k > k_limit:
-            continue
-        v = abs(phi.phi_hat(k))
-        if v > best_abs:
-            best_abs, best_k = v, k
+    if len(ks):
+        coeffs = phi.phi_hat_many(ks)
+        vals = np.hypot(coeffs.real, coeffs.imag)  # bit for bit Python's abs(complex)
+        idx = int(np.argmax(vals))
+        best_abs, best_k = float(vals[idx]), int(ks[idx])
     return {"max_abs": best_abs, "k": best_k, "Q": Q, "k_limit": k_limit}
 
 

@@ -104,6 +104,28 @@ def test_unknown_config_key_rejected(tmp_path):
     assert r.returncode == 2
 
 
+def test_unknown_param_key_rejected(tmp_path):
+    out = tmp_path / "run"
+    r = run_cli(["levelset", "--out", str(out), "--param", "sampels=10"])
+    assert r.returncode == 2
+    assert "sampels" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["count", "illposed", "solve", "gauge-check"])
+def test_seed_only_where_read(tmp_path, command):
+    r = run_cli([command, "--out", str(tmp_path / "run"), "--param", "seed=1"])
+    assert r.returncode == 2
+    assert "seed" in r.stderr
+
+
+def test_threads_flag_removed(tmp_path):
+    r = run_cli(["count", "--out", str(tmp_path / "run"), "--threads", "2",
+                 "--param", "N=1"])
+    assert r.returncode == 2
+    assert "--threads" in r.stderr
+
+
 def test_solve_outputs(tmp_path):
     out = tmp_path / "run"
     r = run_cli(["solve", "--out", str(out), "--param", "band_cap=8",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dispersive_lab.counting import (
+    DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
     CountTable,
     Int64OverflowError,
@@ -16,6 +17,7 @@ from dispersive_lab.counting import (
     enumerate_triples,
     max_offcurve_solution_count,
     mobius,
+    mobius_phi_sieve,
     power_sum_distribution,
     ramanujan_block_ratio,
     ramanujan_sum,
@@ -182,6 +184,46 @@ def test_max_offcurve_count_int64_guard():
 
 def test_mobius_values():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+
+
+def _python_sieve(limit):
+    """The per-n smallest-prime-factor recurrence, one entry at a time."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if spf[p] == 0:
+            spf[p::p][spf[p::p] == 0] = p
+    mu = np.ones(limit + 1, dtype=np.int64)
+    phi = np.arange(limit + 1, dtype=np.int64)
+    mu[0] = 0
+    for m in range(2, limit + 1):
+        p = int(spf[m])
+        rest = m // p
+        mu[m] = 0 if rest % p == 0 else -mu[rest]
+        phi[m] = phi[rest] * (p if rest % p == 0 else p - 1)
+    return mu, phi, spf
+
+
+def test_sieve_matches_python_recurrence():
+    for limit in list(range(1, 201)) + [10**4]:
+        for got, want in zip(mobius_phi_sieve(limit), _python_sieve(limit)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), limit
+
+
+def test_ramanujan_sum_arrays_match_scalars():
+    q = np.arange(1, 61)[:, None]
+    n = np.arange(-40, 41)[None, :]
+    got = ramanujan_sum(q, n)
+    assert got.dtype == np.int64 and got.shape == (60, 81)
+    want = [[ramanujan_sum(int(qi), int(ni)) for ni in n[0]] for qi in q[:, 0]]
+    assert np.array_equal(got, want)
+    assert type(ramanujan_sum(12, 8)) is int
+    with pytest.raises(ValueError):
+        ramanujan_sum(DEFAULT_SIEVE_LIMIT + 1, 3)
+    with pytest.raises(ValueError):
+        ramanujan_sum(np.array([5, DEFAULT_SIEVE_LIMIT + 1]), 3)
+    with pytest.raises(ValueError):
+        ramanujan_sum(0, 3)
 
 
 def test_ramanujan_examples():

@@ -5,18 +5,6 @@ from dispersive_lab import kernels
 from dispersive_lab.weyl import dirichlet_curve_kernel
 
 
-def test_backends_agree():
-    rng = np.random.default_rng(0)
-    N = 12
-    coeff = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
-    x = rng.random(500)
-    t = rng.random(500)
-    selected = kernels.curve_sum(coeff, 3, x, t)
-    powers = (np.arange(-N, N + 1).astype(object) ** 3).astype(float)
-    fallback = kernels.curve_sum_numpy(coeff, powers, x, t, 2 * np.pi)
-    assert np.abs(selected - fallback).max() < 1e-10
-
-
 def test_curve_sum_matches_scalar_kernel():
     x = np.array([0.21, 0.9])
     t = np.array([0.47, 0.05])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dispersive_lab.counting import mobius_phi_sieve
 from dispersive_lab.weyl import (
     BumpSpec,
     KernelDecomposition,
@@ -137,19 +138,44 @@ def test_bump_transform_interpolation_accuracy():
 def test_phi_hat0_formula():
     p = build_phi(8)
     mu_phi = 0.0
-    from dispersive_lab.counting import mobius_phi_sieve
-
     _, phi_tot, _ = mobius_phi_sieve()
     total = sum(int(phi_tot[q]) / q**2 for q in range(8, 41))
     assert p.phi_hat0() == pytest.approx(total * p.bump.transform_at_zero, rel=1e-12)
     assert p.phi_hat0() > 0
 
 
+def _phi_hat_divisor_oracle(p, ks):
+    """Phi_hat(k) with c_q(k) = sum over delta | (q, k) of delta mu(q/delta), and sum |terms|."""
+    mu = mobius_phi_sieve()[0]
+    q = np.arange(p.q_lo, p.q_hi + 1, dtype=np.int64)
+    c = np.zeros((len(ks), len(q)), dtype=np.int64)
+    for row, k in zip(c, ks):
+        # every delta divides 0; otherwise the divisors of k up to 5Q
+        deltas = range(1, p.q_hi + 1) if k == 0 else [
+            v for i in range(1, math.isqrt(k) + 1) if k % i == 0
+            for v in {i, k // i} if v <= p.q_hi]
+        for delta in deltas:
+            first = -(-p.q_lo // delta) * delta  # least multiple of delta in [Q, 5Q]
+            hit = slice(first - p.q_lo, None, delta)
+            row[hit] += delta * mu[q[hit] // delta]
+    xi = np.asarray(ks, dtype=float)[:, None] / q.astype(float) ** 2
+    terms = c / q.astype(float) ** 2 * p.bump.fourier_transform(xi.ravel()).reshape(xi.shape)
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
 def test_phi_hat_dense_matches_exact():
-    p = build_phi(8)
-    dense = p.phi_hat_dense(64)
-    exact = p.phi_hat_many(np.arange(0, 65))
-    assert np.abs(dense - exact).max() < 1e-15
+    # the batched evaluator against the divisor-sum form of c_q, on the
+    # dense window k = 0..4Q and on random k up to 2 Q^{3/2}
+    rng = np.random.default_rng(31)
+    for Q in (64, 256, 1024):
+        p = build_phi(Q)
+        ks = np.concatenate((np.arange(0, 4 * Q + 1),
+                             rng.integers(1, int(2 * Q**1.5) + 1, 48)))
+        got = p.phi_hat_many(ks)
+        for i in range(0, len(ks), 128):
+            want, scale = _phi_hat_divisor_oracle(p, ks[i:i + 128].tolist())
+            assert np.all(np.abs(got[i:i + 128] - want) <= 1e-13 * scale), Q
+        assert np.array_equal(p.phi_hat_dense(16), got[:17])
 
 
 def test_phi_eval_support():
@@ -191,9 +217,11 @@ def test_arcs_pairwise_disjoint_exact():
 
 
 def test_k2_hat_vanishes_on_curve_exactly():
-    dec = decompose_kernel(4, 3, 16)
-    for n in range(-4, 5):
-        assert dec.k2_hat(n, n**3) == 0.0
+    for N, d, Q in ((4, 3, 16), (3, 5, 81)):
+        dec = decompose_kernel(N, d, Q)
+        assert dec.phi.phi_hat_dense(2 * N**d)[0] == dec.phi_hat0
+        for n in range(-N, N + 1):
+            assert dec.k2_hat(n, n**d) == 0.0
 
 
 def test_k2_hat_off_curve_rule():
