@@ -3,7 +3,7 @@
 Every run records its resolved configuration (with a seed for the commands
 that sample) and a manifest of produced files; reruns with an identical config reproduce all
 deterministic CSV outputs byte for byte. Exit codes: 0 success, 2 config
-error, 3 memory budget exceeded.
+error or int64 overflow, 3 memory budget exceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, counting, kdv, strichartz, weyl
-from .counting import BudgetExceededError, SystemSpec
+from .counting import BudgetExceededError, Int64OverflowError, SystemSpec
 from .svgplot import write_loglog_svg
 from .torus import FourierSeries, TorusConvention
 
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         with open(os.path.join(args.out, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=1)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, Int64OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

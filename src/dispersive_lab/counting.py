@@ -10,17 +10,19 @@ by meeting the two b-variable halves in the middle; that number also equals
 the 2b-th power of the space-time L^{2b} norm of the all-ones curve sum.
 
 Tables are built by iterated convolution against the one-variable signature
-measure: dense 2-D arrays (one block add per delta and level) when the
-signature grid fits the memory budget, sorted sparse key arrays otherwise.
-Counts are kept in int64 end to end; sums of squares are accumulated as
-Python ints, so every reported count is exact.
+measure, in the layout ``_plan`` picks for the memory budget: dense 2-D
+arrays, a sum of squares streamed one A-row at a time, or sorted sparse
+keys. Counts are int64 end to end, ``_plan`` refuses keys that would wrap,
+and sums of squares are Python ints, so every reported count is exact.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -65,14 +67,14 @@ class SystemSpec:
     def b_extent(self) -> int:
         return self.b * self.N**self.d
 
+    @property
+    def cells(self) -> int:
+        """(2bN+1)(2bN^d+1): cells of the dense signature grid, and the packed key range."""
+        return (2 * self.a_extent + 1) * (2 * self.b_extent + 1)
+
 
 def _deltas(d: int, N: int):
-    n = np.arange(-N, N + 1, dtype=np.int64)
-    return n, n.astype(object) ** d  # object: exact for large N^d
-
-
-def _dense_cells(d: int, N: int, k: int) -> int:
-    return (2 * k * N + 1) * (2 * k * N**d + 1)
+    return [(n, n**d) for n in range(-N, N + 1)]
 
 
 @dataclass
@@ -92,11 +94,6 @@ class CountTable:
     def _pack(self, A: int, B: int) -> int:
         return (A + self.spec.a_extent) * self._stride + (B + self.spec.b_extent)
 
-    def _unpack(self, key):
-        A = key // self._stride - self.spec.a_extent
-        B = key % self._stride - self.spec.b_extent
-        return int(A), int(B)
-
     def entry(self, A: int, B: int):
         if abs(A) > self.spec.a_extent or abs(B) > self.spec.b_extent:
             return 0
@@ -109,23 +106,20 @@ class CountTable:
             return complex(v) if self.weighted else int(v)
         return 0j if self.weighted else 0
 
-    def items(self):
+    def columns(self):
+        """(A, B, value) arrays of the nonzero dense cells or all sparse keys, in (A, B) order."""
         if self.dense is not None:
             ii, jj = np.nonzero(self.dense)
-            for i, j in zip(ii.tolist(), jj.tolist()):
-                v = self.dense[i, j]
-                yield (i - self.spec.a_extent, j - self.spec.b_extent,
-                       complex(v) if self.weighted else int(v))
-        else:
-            for key, v in zip(self.keys.tolist(), self.values.tolist()):
-                A, B = self._unpack(key)
-                yield (A, B, complex(v) if self.weighted else int(v))
+            return ii - self.spec.a_extent, jj - self.spec.b_extent, self.dense[ii, jj]
+        return (self.keys // self._stride - self.spec.a_extent,
+                self.keys % self._stride - self.spec.b_extent, self.values)
+
+    def items(self):
+        return zip(*(column.tolist() for column in self.columns()))
 
     def total_mass(self):
-        if self.dense is not None:
-            total = self.dense.sum(dtype=object if not self.weighted else None)
-        else:
-            total = self.values.sum(dtype=object if not self.weighted else None)
+        arr = self.dense if self.dense is not None else self.values
+        total = arr.sum(dtype=object if not self.weighted else None)
         return complex(total) if self.weighted else int(total)
 
     def sum_of_squared_moduli(self):
@@ -133,9 +127,7 @@ class CountTable:
         if self.weighted:
             arr = self.dense if self.dense is not None else self.values
             return float(np.sum(np.abs(arr) ** 2))
-        if self.dense is not None:
-            return sum(int(np.dot(row, row)) for row in self.dense)
-        return sum(int(v) * int(v) for v in self.values.tolist())
+        return _square_sum(self.dense if self.dense is not None else [self.values])
 
     def max_count(self):
         arr = self.dense if self.dense is not None else self.values
@@ -153,37 +145,76 @@ class CountTable:
                     fh.write(f"{A},{B},{v}\n")
 
 
-def _dense_levels_fit(spec: SystemSpec, itemsize: int, budget: int, final_level: int) -> bool:
-    worst = 0
-    for k in range(2, final_level + 1):
-        worst = max(worst, (_dense_cells(spec.d, spec.N, k - 1)
-                            + _dense_cells(spec.d, spec.N, k)) * itemsize)
-    if final_level == 1:
-        worst = _dense_cells(spec.d, spec.N, 1) * itemsize
-    return worst <= budget
+def _square_sum(rows) -> int:
+    """Exact sum of squares of nonnegative int64 rows; a row's squares add to at most max * sum."""
+    return sum(int(np.dot(row, row)) if int(row.max()) * int(row.sum()) <= INT64_MAX
+               else sum(v * v for v in row.tolist()) for row in rows)
 
 
-def _build_dense(spec: SystemSpec, weights, final_level: int):
-    d, N = spec.d, spec.N
-    dtype = np.complex128 if weights is not None else np.int64
-    ns, nds = _deltas(d, N)
-    cur = np.zeros((2 * N + 1, 2 * N**d + 1), dtype=dtype)
-    for n, nd in zip(ns.tolist(), nds.tolist()):
-        cur[n + N, nd + N**d] = 1 if weights is None else weights[n + N]
-    for k in range(2, final_level + 1):
-        nxt = np.zeros((2 * k * N + 1, 2 * k * N**d + 1), dtype=dtype)
-        rows, cols = cur.shape
-        for n, nd in zip(ns.tolist(), nds.tolist()):
-            i0 = n + k * N - (k - 1) * N
-            j0 = nd + k * N**d - (k - 1) * N**d
-            if weights is None:
-                nxt[i0:i0 + rows, j0:j0 + cols] += cur
-            else:
-                w = weights[n + N]
-                if w != 0:
-                    nxt[i0:i0 + rows, j0:j0 + cols] += w * cur
-        cur = nxt
-    return cur
+def _plan(spec: SystemSpec, budget: int, weighted: bool = False, want: str = "table") -> str:
+    """How to build the signature table of ``spec``: "dense", "streamed" or "sparse".
+
+    ``want`` is "table", "squares" (only the sum of squared counts, so the
+    top level may stream by A-row) or "dense" (else BudgetExceededError).
+    A dense build holds its top two levels, a streamed one level b-1 and a
+    row; a sparse build may still refuse once its key counts are known.
+    Raises Int64OverflowError when packed keys or counts (up to the tuple
+    mass (2N+1)^b) would not fit in int64.
+    """
+    mass = (2 * spec.N + 1) ** spec.b
+    if spec.cells > INT64_MAX or (mass > INT64_MAX and not weighted):
+        raise Int64OverflowError(
+            f"{spec}: packed (A, B) keys reach {spec.cells:.3e} and counts {mass:.3e}, "
+            f"beyond int64 ({INT64_MAX:.3e})")
+    itemsize = 16 if weighted else 8
+
+    def cells(level):
+        return SystemSpec(spec.d, level, spec.N).cells if level else 0
+
+    dense_bytes = (cells(spec.b - 1) + cells(spec.b)) * itemsize
+    if want == "dense":
+        if dense_bytes > budget:
+            raise BudgetExceededError(
+                f"dense signature tables for {spec} need {dense_bytes:.3g} bytes, "
+                f"above the memory budget of {budget:.3g}")
+        return "dense"
+    if mass <= 4_000_000:  # few tuples: sparse keys beat any grid
+        return "sparse"
+    if want == "squares":
+        lower_bytes = (cells(spec.b - 2) + cells(spec.b - 1)) * itemsize
+        stream_bytes = (cells(spec.b - 1) + 2 * spec.b_extent + 1) * itemsize
+        return "streamed" if max(lower_bytes, stream_bytes) <= budget else "sparse"
+    return "dense" if dense_bytes <= budget else "sparse"
+
+
+def _convolved_rows(lower, spec: SystemSpec, weights):
+    """The A-rows of the table one level above the dense ``lower``, in one reused buffer."""
+    N, Nd = spec.N, spec.N**spec.d
+    deltas = _deltas(spec.d, N)
+    rows, cols = lower.shape
+    row = np.empty(cols + 2 * Nd, dtype=lower.dtype)
+    for i in range(rows + 2 * N):
+        row[:] = 0
+        for n, nd in deltas:
+            j = i - (n + N)
+            if 0 <= j < rows:
+                if weights is None:
+                    row[nd + Nd:nd + Nd + cols] += lower[j]
+                elif weights[n + N] != 0:
+                    row[nd + Nd:nd + Nd + cols] += weights[n + N] * lower[j]
+        yield row
+
+
+def _dense_levels(spec: SystemSpec, weights=None):
+    """Dense tables of 1-, 2-, ..., b-tuples in turn; stopping early skips the later levels."""
+    table = np.ones((1, 1), dtype=np.int64 if weights is None else np.complex128)
+    for _ in range(spec.b):
+        rows, cols = table.shape
+        upper = np.empty((rows + 2 * spec.N, cols + 2 * spec.N**spec.d), dtype=table.dtype)
+        for i, row in enumerate(_convolved_rows(table, spec, weights)):
+            upper[i] = row
+        table = upper
+        yield table
 
 
 def _sparse_reduce(keys, vals):
@@ -197,23 +228,16 @@ def _sparse_reduce(keys, vals):
     return uniq, summed
 
 
-def _build_sparse(spec: SystemSpec, weights, final_level: int, budget: int):
+def _build_sparse(spec: SystemSpec, weights, budget: int):
     d, N = spec.d, spec.N
     stride = 2 * spec.b_extent + 1
-    ns, nds = _deltas(d, N)
-    delta_keys = np.array(
-        [int(n) * stride + int(nd) for n, nd in zip(ns.tolist(), nds.tolist())],
-        dtype=np.int64,
-    )
+    delta_keys = np.array([n * stride + nd for n, nd in _deltas(d, N)], dtype=np.int64)
     base = (np.int64(spec.a_extent) * stride + spec.b_extent)
-    keys = delta_keys + base
     if weights is None:
-        vals = np.ones(len(keys), dtype=np.int64)
-    else:
-        vals = np.asarray(weights, dtype=np.complex128).copy()
-    keys, vals = _sparse_reduce(keys, vals)
+        weights = np.ones(len(delta_keys), dtype=np.int64)
+    keys, vals = _sparse_reduce(delta_keys + base, weights.copy())
     itemsize = 8 + vals.itemsize
-    for _ in range(final_level - 1):
+    for _ in range(spec.b - 1):
         if len(keys) * len(delta_keys) * itemsize > budget:
             suggestion = max(1, spec.N // 2)
             raise BudgetExceededError(
@@ -221,12 +245,8 @@ def _build_sparse(spec: SystemSpec, weights, final_level: int, budget: int):
                 f"try N <= {suggestion}",
                 suggested_n=suggestion,
             )
-        new_keys = (keys[:, None] + delta_keys[None, :]).ravel()
-        if weights is None:
-            new_vals = np.repeat(vals, len(delta_keys))
-        else:
-            new_vals = (vals[:, None] * np.asarray(weights)[None, :]).ravel()
-        keys, vals = _sparse_reduce(new_keys, new_vals)
+        keys, vals = _sparse_reduce((keys[:, None] + delta_keys[None, :]).ravel(),
+                                    (vals[:, None] * weights[None, :]).ravel())
     return keys, vals
 
 
@@ -235,40 +255,30 @@ def power_sum_distribution(spec: SystemSpec, weights=None,
     """Distribution of (sum n_i, sum n_i^d) over b-tuples, optionally amplitude-weighted.
 
     ``weights`` is a coefficient vector indexed by n in [-N, N]; unit weights
-    count tuples. Chooses the dense layout when every convolution level fits
-    the budget, otherwise falls back to sorted sparse key arrays.
+    count tuples. The layout (dense grid or sorted sparse keys) is the one
+    ``_plan`` picks for the budget.
     """
-    if weights is not None:
+    weighted = weights is not None
+    if weighted:
         weights = np.asarray(weights, dtype=np.complex128)
         if len(weights) != 2 * spec.N + 1:
             raise ValueError("weights must cover n in [-N, N]")
-    itemsize = 16 if weights is not None else 8
-    small_mass = (2 * spec.N + 1) ** spec.b <= 4_000_000
-    if not small_mass and _dense_levels_fit(spec, itemsize, mem_budget, spec.b):
-        dense = _build_dense(spec, weights, spec.b)
-        return CountTable(spec, weights is not None, dense=dense)
-    keys, vals = _build_sparse(spec, weights, spec.b, mem_budget)
-    return CountTable(spec, weights is not None, keys=keys, values=vals)
+    if _plan(spec, mem_budget, weighted) == "dense":
+        dense = deque(_dense_levels(spec, weights), maxlen=1)[0]
+        return CountTable(spec, weighted, dense=dense)
+    keys, vals = _build_sparse(spec, weights, mem_budget)
+    return CountTable(spec, weighted, keys=keys, values=vals)
 
 
-def _count_s_streamed(spec: SystemSpec) -> int:
-    """Sum of squared counts, streaming the final level one A-row at a time."""
-    d, N, b = spec.d, spec.N, spec.b
-    prev = _build_dense(spec, None, b - 1)
-    ns, nds = _deltas(d, N)
-    prev_rows, prev_cols = prev.shape
-    cols = 2 * b * N**d + 1
-    total = 0
-    row = np.empty(cols, dtype=np.int64)
-    for i_new in range(2 * b * N + 1):
-        row[:] = 0
-        for n, nd in zip(ns.tolist(), nds.tolist()):
-            i_prev = i_new - (n + N)
-            if 0 <= i_prev < prev_rows:
-                j0 = nd + b * N**d - (b - 1) * N**d
-                row[j0:j0 + prev_cols] += prev[i_prev]
-        total += int(np.dot(row, row))
-    return total
+def dense_top_levels(spec: SystemSpec, weights, mem_budget: int = DEFAULT_MEM_BUDGET):
+    """Dense weighted tables of (b-1)- and b-tuples, b >= 2, as (lower, top) arrays.
+
+    Raises BudgetExceededError when the two levels do not fit ``mem_budget``.
+    """
+    _plan(spec, mem_budget, weighted=True, want="dense")
+    levels = _dense_levels(spec, np.asarray(weights, dtype=np.complex128))
+    lower = deque(islice(levels, spec.b - 1), maxlen=1)[0]
+    return lower, next(levels)  # built while only ``lower`` is held, as planned
 
 
 def count_S(spec: SystemSpec, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
@@ -279,15 +289,11 @@ def count_S(spec: SystemSpec, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """
     if spec.b == 1:
         return 2 * spec.N + 1
-    itemsize = 8
-    small_mass = (2 * spec.N + 1) ** spec.b <= 4_000_000
-    stream_bytes = (_dense_cells(spec.d, spec.N, spec.b - 1)
-                    + (2 * spec.b * spec.N**spec.d + 1)) * itemsize
-    if not small_mass and _dense_levels_fit(spec, itemsize, mem_budget, spec.b - 1) \
-            and stream_bytes <= mem_budget:
-        return _count_s_streamed(spec)
-    keys, vals = _build_sparse(spec, None, spec.b, mem_budget)
-    return sum(int(v) * int(v) for v in vals.tolist())
+    if _plan(spec, mem_budget, want="squares") == "streamed":
+        lower = deque(islice(_dense_levels(spec), spec.b - 1), maxlen=1)[0]
+        return _square_sum(_convolved_rows(lower, spec, None))
+    keys, vals = _build_sparse(spec, None, mem_budget)
+    return CountTable(spec, False, keys=keys, values=vals).sum_of_squared_moduli()
 
 
 def enumerate_triples(d: int, N: int, A: int, B: int):
@@ -335,26 +341,18 @@ def max_offcurve_solution_count(d: int, N: int) -> int:
 
     Signatures with B = A^d contain the one-parameter families (k, -k, A)
     and grow linearly in N; the divisor-bound phenomenon concerns the
-    remaining signatures.
+    remaining signatures. Read off the b=3 signature table.
 
-    Raises Int64OverflowError, before any array is built, when A^d (up to
+    Raises Int64OverflowError, before any table is built, when A^d (up to
     (3N)^d) or the packed (A, B) key would not fit in int64.
     """
-    stride = 6 * N**d + 1
-    largest = max((3 * N) ** d, 6 * N * stride + 6 * N**d)
-    if largest > INT64_MAX:
+    if (3 * N) ** d > INT64_MAX:
         raise Int64OverflowError(
             f"max_offcurve_solution_count(d={d}, N={N}) needs integers up to "
-            f"{largest:.3e}, beyond int64 ({INT64_MAX:.3e})")
-    rng = np.arange(-N, N + 1, dtype=np.int64)
-    n1, n2, n3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    A = (n1 + n2 + n3).ravel()
-    B = (n1**d + n2**d + n3**d).ravel()
-    off = B != A**d
-    A, B = A[off], B[off]
-    key = (A + 3 * N) * stride + (B + 3 * N**d)
-    _, counts = np.unique(key, return_counts=True)
-    return int(counts.max()) if len(counts) else 0
+            f"{(3 * N) ** d:.3e}, beyond int64 ({INT64_MAX:.3e})")
+    A, B, counts = power_sum_distribution(SystemSpec(d, 3, N)).columns()
+    off = counts[B != A**d]
+    return int(off.max()) if len(off) else 0
 
 
 _SIEVE_BLOCK = 1 << 14  # entries per numpy step of the mu/phi recurrence
@@ -414,9 +412,9 @@ def _divisors(n: int):
 
 def mobius(n: int) -> int:
     mu, _, _ = mobius_phi_sieve()
-    if n <= len(mu) - 1:
-        return int(mu[n])
-    raise ValueError(f"mobius beyond sieve limit {len(mu) - 1}")
+    if not 1 <= n < len(mu):
+        raise ValueError(f"mobius needs 1 <= n <= {len(mu) - 1}")
+    return int(mu[n])
 
 
 def ramanujan_sum(q, n):

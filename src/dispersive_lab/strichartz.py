@@ -79,27 +79,19 @@ def theory_upper_shape(p: float, d: int, N: int) -> float:
 # gradient ascent on the even norm
 
 
-def _weighted_tables(vec: CoefficientVector, b: int, d: int):
-    spec = SystemSpec(d, b, vec.N)
-    if not counting._dense_levels_fit(spec, 16, counting.DEFAULT_MEM_BUDGET, b):
-        raise BudgetExceededError("ascent tables exceed the dense budget")
-    c_prev = counting._build_dense(SystemSpec(d, b - 1, vec.N) if b > 1 else spec,
-                                   vec.a, max(b - 1, 1))
-    c_full = counting._build_dense(spec, vec.a, b)
-    return c_full, c_prev
-
-
-def even_norm_power_gradient(vec: CoefficientVector, b: int, d: int):
+def even_norm_power_gradient(vec: CoefficientVector, b: int, d: int,
+                             mem_budget: int = counting.DEFAULT_MEM_BUDGET):
     """(Phi, g) with Phi = ||F||_{2b}^{2b} and g_m = dPhi/d conj(a_m).
 
     g_m = b * sum_z c_b(z) conj(c_{b-1})(z - (m, m^d)); ascent steps move a
-    along g and renormalize.
+    along g and renormalize. Raises BudgetExceededError when the dense
+    tables c_{b-1} and c_b do not fit ``mem_budget``.
     """
     N = vec.N
     if b == 1:
         power = float(np.sum(np.abs(vec.a) ** 2))
         return power, vec.a.copy()
-    c_full, c_prev = _weighted_tables(vec, b, d)
+    c_prev, c_full = counting.dense_top_levels(SystemSpec(d, b, N), vec.a, mem_budget)
     phi_val = float(np.sum(np.abs(c_full) ** 2))
     rows, cols = c_prev.shape
     g = np.zeros(2 * N + 1, dtype=np.complex128)
@@ -112,7 +104,8 @@ def even_norm_power_gradient(vec: CoefficientVector, b: int, d: int):
 
 
 def ascent_strategy(N: int, b: int, d: int, iterations: int = 200, restarts: int = 8,
-                    seed: int = 0, step: float = 0.5):
+                    seed: int = 0, step: float = 0.5,
+                    mem_budget: int = counting.DEFAULT_MEM_BUDGET):
     """Projected gradient ascent of the even norm over the unit sphere.
 
     Fixed step with backtracking; ties broken by first-found. Returns the
@@ -124,12 +117,12 @@ def ascent_strategy(N: int, b: int, d: int, iterations: int = 200, restarts: int
     for _ in range(restarts):
         a = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
         vec = CoefficientVector(N, a)
-        val, g = even_norm_power_gradient(vec, b, d)
+        val, g = even_norm_power_gradient(vec, b, d, mem_budget)
         eta = step
         for _ in range(iterations):
             trial = vec.a + eta * g / max(np.linalg.norm(g), 1e-300)
             trial_vec = CoefficientVector(N, trial)
-            t_val, t_g = even_norm_power_gradient(trial_vec, b, d)
+            t_val, t_g = even_norm_power_gradient(trial_vec, b, d, mem_budget)
             if t_val > val:
                 vec, val, g = trial_vec, t_val, t_g
                 eta = min(eta * 1.5, 4.0)
@@ -190,15 +183,15 @@ def k_lower_envelope(p: int, N: int, d: int,
         except BudgetExceededError as exc:
             skipped["random"] = str(exc)
     if "ascent" in strategies:
-        spec = SystemSpec(d, b, N)
-        cost = (2 * N + 1) * sum(counting._dense_cells(d, N, k) for k in range(1, b + 1))
-        if not counting._dense_levels_fit(spec, 16, mem_budget, b):
-            skipped["ascent"] = "weighted tables exceed the dense memory budget"
-        elif cost > ascent_cost_cap:
+        cost = (2 * N + 1) * sum(SystemSpec(d, k, N).cells for k in range(1, b + 1))
+        if cost > ascent_cost_cap:
             skipped["ascent"] = f"per-iteration cost {cost:.2g} above cap {ascent_cost_cap:.2g}"
         else:
-            val, _ = ascent_strategy(N, b, d, ascent_iterations, ascent_restarts, seed)
-            per["ascent"] = val
+            try:
+                per["ascent"], _ = ascent_strategy(N, b, d, ascent_iterations,
+                                                   ascent_restarts, seed, mem_budget=mem_budget)
+            except BudgetExceededError as exc:
+                skipped["ascent"] = str(exc)
     value = max(per.values()) if per else 0.0
     return EnvelopeResult(p, d, N, value, per, skipped)
 

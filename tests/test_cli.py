@@ -62,6 +62,16 @@ def test_budget_exceeded_exit_code(tmp_path):
     assert "budget" in r.stderr.lower()
 
 
+def test_int64_overflow_exit_code(tmp_path):
+    # d=9, b=3, N=64: the packed (A, B) keys would wrap in int64
+    out = tmp_path / "run"
+    r = run_cli(["count", "--out", str(out), "--param", "d=9",
+                 "--param", "b=3", "--param", "N=64"])
+    assert r.returncode == 2
+    assert len(r.stderr.splitlines()) == 1 and "int64" in r.stderr
+    assert not (out / "count_scan.csv").exists()
+
+
 def test_lock_file_blocks_concurrent_runs(tmp_path):
     out = tmp_path / "run"
     out.mkdir()

@@ -11,6 +11,7 @@ from dispersive_lab.counting import (
     CountTable,
     Int64OverflowError,
     SystemSpec,
+    _plan,
     check_divisor_property,
     count_S,
     divisor_count,
@@ -23,6 +24,9 @@ from dispersive_lab.counting import (
     ramanujan_sum,
     ramanujan_sum_direct,
 )
+
+# a numpy int64 overflow warns; here it fails the test instead
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def brute_force_S(d, b, N):
@@ -118,6 +122,58 @@ def test_lower_bound_box_argument():
         assert s_val >= max(N**b, box)
 
 
+def test_layout_plan_pins_benchmark_inputs():
+    # the counting benchmark's inputs, at its 2^28-byte budget
+    budget = 2**28
+    small = [(5, b, N) for b in (2, 3) for N in (8, 16, 32, 45, 64)]
+    mid = [(3, 4, 22), (3, 5, 16), (5, 6, 6), (5, 8, 6)]
+    large = [(5, 6, 12), (3, 4, 32)]
+    over_budget = [(5, 6, 32), (5, 8, 32)]
+    for dbn in small + large + over_budget:
+        spec = SystemSpec(*dbn)
+        assert _plan(spec, budget, want="squares") == _plan(spec, budget) == "sparse", dbn
+    for dbn in mid:
+        spec = SystemSpec(*dbn)
+        assert _plan(spec, budget, want="squares") == "streamed", dbn
+        assert _plan(spec, budget) == "dense", dbn
+    for dbn in over_budget:
+        with pytest.raises(BudgetExceededError):
+            count_S(SystemSpec(*dbn), mem_budget=budget)
+    assert _plan(SystemSpec(5, 6, 6), budget, weighted=True) == "dense"
+    assert _plan(SystemSpec(5, 6, 12), budget, weighted=True) == "sparse"
+    # at 2^27 bytes level b-1 and one row of level b fit, the top two levels do not
+    assert _plan(SystemSpec(3, 4, 22), 2**27, want="squares") == "streamed"
+    assert _plan(SystemSpec(3, 4, 22), 2**27) == "sparse"
+
+
+def test_packed_key_int64_guard():
+    # (2bN+1)(2bN^d+1) first passes int64 at d=9, b=3, N=56
+    t = power_sum_distribution(SystemSpec(9, 3, 55))
+    assert t.total_mass() == 111**3
+    A, B, _ = t.columns()
+    assert (A.min(), A.max(), B.min(), B.max()) == (-165, 165, -3 * 55**9, 3 * 55**9)
+    assert t.entry(165, 3 * 55**9) == t.entry(-165, -3 * 55**9) == 1
+    for N in (56, 64):
+        for build in (count_S, power_sum_distribution):
+            with pytest.raises(Int64OverflowError, match=f"d=9, b=3, N={N}"):
+                build(SystemSpec(9, 3, N))
+    # one-tuple counts pack no keys (criterion 01 goes to d=5, N=4999)
+    assert count_S(SystemSpec(5, 1, 4999)) == 9999
+
+
+def test_sums_of_squares_past_int64_stay_exact():
+    # d=2, b=12, N=6: counts fit int64, but one A-row's squared counts add up
+    # past 2^63, which an int64 dot wraps
+    spec = SystemSpec(2, 12, 6)
+    t = power_sum_distribution(spec)
+    exact = sum(v * v for v in t.columns()[2].tolist())
+    assert exact > 2**63
+    assert count_S(spec) == t.sum_of_squared_moduli() == exact
+    # 25^14 tuples: the counts themselves would pass int64
+    with pytest.raises(Int64OverflowError, match="d=2, b=14, N=12"):
+        count_S(SystemSpec(2, 14, 12))
+
+
 def test_budget_error_suggests_smaller_n():
     with pytest.raises(BudgetExceededError) as exc:
         count_S(SystemSpec(5, 6, 32), mem_budget=10_000_000)
@@ -184,6 +240,9 @@ def test_max_offcurve_count_int64_guard():
 
 def test_mobius_values():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    for n in (0, -1, -4):
+        with pytest.raises(ValueError):
+            mobius(n)
 
 
 def _python_sieve(limit):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dispersive_lab.counting import SystemSpec, count_S
+from dispersive_lab.counting import BudgetExceededError, SystemSpec, count_S
 from dispersive_lab.kernels import curve_sum
 from dispersive_lab.norms import TimeWindow
 from dispersive_lab.strichartz import (
@@ -108,6 +108,18 @@ def test_envelope_ascent_beats_random_floor():
                            seed=2)
     assert res.value >= 1.0
     assert res.per_strategy.get("ascent", 0.0) >= res.per_strategy.get("random", 0.0) * 0.99
+
+
+def test_ascent_honours_mem_budget():
+    # the dense tables of (d, b, N) = (3, 2, 6) take 436,064 bytes
+    vec = random_vec(np.random.default_rng(0), 6)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        even_norm_power_gradient(vec, 2, 3, mem_budget=400_000)
+    assert even_norm_power_gradient(vec, 2, 3, mem_budget=440_000)[0] > 0
+    res = k_lower_envelope(4, 6, 3, strategies=("ascent",), ascent_iterations=2,
+                           ascent_restarts=1, mem_budget=400_000)
+    assert "ascent" not in res.per_strategy
+    assert "budget" in res.skipped["ascent"]
 
 
 def test_envelope_rejects_odd_p():
