@@ -3,7 +3,8 @@
 Every run records its resolved configuration (with a seed for the commands
 that sample) and a manifest of produced files; reruns with an identical config reproduce all
 deterministic CSV outputs byte for byte. Exit codes: 0 success, 2 config
-error or int64 overflow, 3 memory budget exceeded.
+error, int64 overflow or a frequency float64 cannot hold exactly, 3 memory
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__, counting, kdv, strichartz, weyl
 from .counting import BudgetExceededError, Int64OverflowError, SystemSpec
 from .svgplot import write_loglog_svg
-from .torus import FourierSeries, TorusConvention
+from .torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
 
 
 class ConfigError(Exception):
@@ -276,13 +277,12 @@ def _run_gauge_check(cfg, out):
                               band_cap=cfg["band_cap"], s=cfg["s"],
                               time_samples=cfg["time_samples"])
     v = states[-1].trajectory
-    times = np.linspace(0.0, cfg["delta"], cfg["time_samples"])
-    if not isinstance(v, kdv.SampledTrajectory):
-        u, theta = kdv.gauge_transform(v, k, times)
-        res_v = kdv.residual(kdv._project_to_samples(v, times, cfg["band_cap"]), spec_gauged)
-    else:
-        u, theta = kdv.gauge_transform(v, k)
-        res_v = kdv.residual(v, spec_gauged)
+    if isinstance(v, HarmonicTrajectory):
+        times = np.linspace(0.0, cfg["delta"], cfg["time_samples"])
+        v = kdv.SampledTrajectory(v.convention, times, cfg["band_cap"],
+                                  v.coefficients(times, cfg["band_cap"]))
+    u, theta = kdv.gauge_transform(v, k)
+    res_v = kdv.residual(v, spec_gauged)
     res_u, details = kdv.residual(u, kdv.NonlinearitySpec(p1=p1), return_details=True)
     with open(os.path.join(out, "gauge.json"), "w") as fh:
         json.dump({"residual_gauged_equation": res_v,
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         with open(os.path.join(args.out, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=1)
         return 0
-    except (ConfigError, Int64OverflowError) as exc:
+    except (ConfigError, Int64OverflowError, BandCapExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -105,7 +105,16 @@ def window_transform(window: TimeWindow, j: int, mu) -> np.ndarray:
     return vals if np.ndim(mu) else vals[0]
 
 
-def _dispersion(n: int) -> float:
+MAX_EXACT_MODE = 1552  # 1552^5 < 2^53 <= 1553^5
+
+
+def dispersion(n):
+    """n^5, the frequency of mode n under e^{-t d_x^5} (the curve is lambda = -n^5).
+
+    Takes an int or an integer array; exact in float64 for |n| <= MAX_EXACT_MODE.
+    """
+    if isinstance(n, np.ndarray):
+        return n.astype(float) ** 5
     return float(n) ** 5
 
 
@@ -152,7 +161,7 @@ def _quad_mode(f, lo: float, hi: float, points, rtol: float, limit: int = 400):
 
 def _xsb_mode_integral(n, terms, s, b, window, rtol):
     weight_s = bracket(n) ** (2.0 * s)
-    disp = _dispersion(n)
+    disp = dispersion(n)
 
     def integrand(lam):
         amp = _mode_transform(terms, np.array([lam]), window)[0]
@@ -190,7 +199,7 @@ def xsb_norm_with_error(u: HarmonicTrajectory, s: float, b: float, window: TimeW
 
 def _l1_mode_integral(n, terms, s, window, rtol, disp_weight=0.0):
     """(1/2pi) int |u_hat(n, lambda)| <lambda+n^5>^{-disp_weight} d lambda."""
-    disp = _dispersion(n)
+    disp = dispersion(n)
 
     def integrand(lam):
         amp = _mode_transform(terms, np.array([lam]), window)[0]
@@ -227,7 +236,7 @@ def duhamel_forcing_bound(w: HarmonicTrajectory, s: float, window: TimeWindow,
     l1 = 0.0
     for n, terms in _mode_groups(w).items():
         weight_s = bracket(n) ** (2.0 * s)
-        disp = _dispersion(n)
+        disp = dispersion(n)
 
         def integrand(lam, terms=terms, weight_s=weight_s, disp=disp):
             amp = _mode_transform(terms, np.array([lam]), window)[0]

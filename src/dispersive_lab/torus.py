@@ -9,6 +9,15 @@ Two normalizations coexist in the lab and are never mixed implicitly:
 ``FourierSeries`` is a band-limited spatial slice; ``HarmonicTrajectory``
 is a finite sum of terms c * e^{inx} * t^j * e^{i lambda t}, which is
 closed under products, x-derivatives and exact Duhamel integration.
+
+Real data stays exactly real by one rule. When every input is exactly
+conjugate-symmetric (``is_real_symmetric()``), an operation computes only
+the canonical output keys, those with (n, lambda) >= (0, 0); each mirror key
+(-n, j, -lambda) receives the conjugate, and a self-mirrored key (n = 0,
+lambda = 0) keeps only its real part. Inputs that are not exactly
+real-symmetric are summed in full. Frequencies are float64 and must stay
+below 2^53 in modulus, where every integer is exact; a larger one raises
+``BandCapExceeded``.
 """
 
 from __future__ import annotations
@@ -19,11 +28,16 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 DEFAULT_BAND_CAP = 4096
+_LAMBDA_LIMIT = 2.0 ** 53  # float64 holds every integer below it exactly
+_BLOCK_CELLS = 1 << 15  # (term, time) cells per block of ``coefficients``
 
 
 class BandCapExceeded(ValueError):
-    """Raised when a spectral product would exceed the hard band cap."""
+    """Raised when a spectral product would exceed the hard band cap, or a
+    trajectory frequency leaves the range float64 holds exactly."""
 
 
 class ConventionMismatch(ValueError):
@@ -56,41 +70,21 @@ def _check_same_convention(a, b):
         )
 
 
-def _symmetric_bucket_sum(items: dict, self_mirrored: bool, sign: int, mirror):
-    """Sum bucket values in a mirror-canonical order.
+def mirror_completed(half: dict) -> dict:
+    """Full result of a real-symmetric operation from its canonical keys.
 
-    ``items`` maps a first-factor id to its product contribution. Mirrored
-    output buckets are summed over termwise-mirrored ids in the same
-    sequence, so their partial sums are exactly conjugate in IEEE
-    arithmetic; self-mirrored buckets sum conjugate id pairs first, which
-    cancels imaginary parts exactly for conjugate-symmetric inputs.
+    ``half`` holds only keys (n, j, lambda) with (n, lambda) >= (0, 0); each
+    mirror key gets the conjugate and a self-mirrored key its real part, so
+    the result is exactly conjugate-symmetric.
     """
-    if not self_mirrored:
-        total = 0j
-        for key in sorted(items, key=lambda t: _mirror_rank(t, sign)):
-            total += items[key]
-        return total
-    total = 0j
-    done = set()
-    for key in sorted(items, key=lambda t: _mirror_rank(t, 1)):
-        if key in done:
-            continue
-        partner = mirror(key)
-        if partner == key:
-            total += items[key]
-        elif partner in items:
-            total += items[key] + items[partner]
-            done.add(partner)
+    out = {}
+    for (n, j, lam), c in half.items():
+        if n == 0 and lam == 0.0:
+            out[(n, j, lam)] = complex(c.real)
         else:
-            total += items[key]
-    return total
-
-
-def _mirror_rank(key, sign: int):
-    if isinstance(key, tuple):
-        n, j, lam = key
-        return (abs(n), j, abs(lam), sign * n, sign * lam)
-    return (abs(key), sign * key)
+            out[(n, j, lam)] = c
+            out[(-n, j, -lam)] = c.conjugate()
+    return out
 
 
 @dataclass(frozen=True)
@@ -127,33 +121,9 @@ class FourierSeries:
         return FourierSeries(self.convention, {n: alpha * c for n, c in self.coeff.items()})
 
     def product(self, other: "FourierSeries", band_cap: int = DEFAULT_BAND_CAP) -> "FourierSeries":
-        """Exact spectral product; the band grows to band(f)+band(g), no aliasing.
-
-        Accumulation order is mirror-canonical, so conjugate-symmetric inputs
-        produce an exactly conjugate-symmetric output.
-        """
-        _check_same_convention(self, other)
-        if self.band + other.band > band_cap:
-            raise BandCapExceeded(
-                f"product band {self.band + other.band} exceeds cap {band_cap}"
-            )
-        buckets: dict = {}
-        for n1, c1 in self.coeff.items():
-            for n2, c2 in other.coeff.items():
-                buckets.setdefault(n1 + n2, {})[n1] = c1 * c2
-        out: dict = {}
-        for n, items in buckets.items():
-            out[n] = _symmetric_bucket_sum(
-                items, n == 0, 1 if n >= 0 else -1, lambda k: -k)
-        return FourierSeries(self.convention, out)
-
-    def power(self, k: int, band_cap: int = DEFAULT_BAND_CAP) -> "FourierSeries":
-        if k == 0:
-            return FourierSeries(self.convention, {0: 1.0 + 0j})
-        result = self
-        for _ in range(k - 1):
-            result = result.product(self, band_cap=band_cap)
-        return result
+        """Exact spectral product (band(f)+band(g), no aliasing): the trajectory product at t = 0."""
+        return HarmonicTrajectory.from_series(self).product(
+            HarmonicTrajectory.from_series(other), band_cap).at_time(0.0)
 
     def derivative(self) -> "FourierSeries":
         """Spatial derivative: coeff(n) -> i*w*n*coeff(n) with w the wavenumber factor."""
@@ -203,8 +173,11 @@ class HarmonicTrajectory:
     """Finite sum of terms c * e^{i w n x} * t^j * e^{i lambda t}.
 
     Terms are stored merged on the key (n, j, lambda); j > 0 only arises from
-    resonant Duhamel integration. Integer-valued lambdas stay exact as floats
-    up to 2^53, which covers dispersion frequencies n^5 for |n| <= 1500.
+    resonant Duhamel integration. A term with |lambda| >= 2^53 raises
+    ``BandCapExceeded``: below that bound every integer is a float64, and
+    since rounding is monotone an integer combination of exact frequencies
+    (a flow, product or Duhamel key) that passes it cannot round back below
+    it. Dispersion frequencies n^5 are exact for |n| <= 1552.
     """
 
     convention: TorusConvention
@@ -215,7 +188,12 @@ class HarmonicTrajectory:
         for (n, j, lam), c in self.terms.items():
             c = complex(c)
             if c != 0:
-                clean[(int(n), int(j), float(lam))] = c
+                lam = float(lam)
+                if abs(lam) >= _LAMBDA_LIMIT:
+                    raise BandCapExceeded(
+                        f"frequency {lam:.17g} of mode {n} is not below 2^53, "
+                        "where float64 stops holding integers exactly")
+                clean[(int(n), int(j), lam)] = c
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
@@ -243,25 +221,23 @@ class HarmonicTrajectory:
         return HarmonicTrajectory(self.convention, {k: alpha * c for k, c in self.terms.items()})
 
     def product(self, other: "HarmonicTrajectory", band_cap: int = DEFAULT_BAND_CAP) -> "HarmonicTrajectory":
-        """Exact product with mirror-canonical accumulation (see FourierSeries)."""
+        """Exact product; real-symmetric factors give an exactly real-symmetric
+        product (the canonical-key rule of the module docstring)."""
         _check_same_convention(self, other)
         if self.band + other.band > band_cap:
             raise BandCapExceeded(
                 f"product band {self.band + other.band} exceeds cap {band_cap}"
             )
-        buckets: dict = {}
+        real = self.is_real_symmetric() and other.is_real_symmetric()
+        out: dict = {}
         for (n1, j1, l1), c1 in self.terms.items():
             for (n2, j2, l2), c2 in other.terms.items():
-                key = (n1 + n2, j1 + j2, l1 + l2)
-                buckets.setdefault(key, {})[(n1, j1, l1)] = c1 * c2
-        out: dict = {}
-        for key, items in buckets.items():
-            n, _, lam = key
-            self_mirrored = n == 0 and lam == 0.0
-            sign = 1 if (n, lam) >= (0, 0.0) else -1
-            out[key] = _symmetric_bucket_sum(
-                items, self_mirrored, sign, lambda t: (-t[0], t[1], -t[2]))
-        return HarmonicTrajectory(self.convention, out)
+                n, lam = n1 + n2, l1 + l2
+                if real and (n < 0 or (n == 0 and lam < 0.0)):
+                    continue
+                key = (n, j1 + j2, lam)
+                out[key] = out.get(key, 0j) + c1 * c2
+        return HarmonicTrajectory(self.convention, mirror_completed(out) if real else out)
 
     def x_derivative(self) -> "HarmonicTrajectory":
         w = self.convention.wavenumber_factor
@@ -288,39 +264,47 @@ class HarmonicTrajectory:
             out[key] = out.get(key, 0j) + 1j * lam * c
         return HarmonicTrajectory(self.convention, out)
 
+    def coefficients(self, times, band: int) -> np.ndarray:
+        """Mode coefficients at each time: array[n + band, m] at times[m], |n| <= band.
+
+        Terms with |n| > band are left out. Terms are summed in (n, j, lambda)
+        order, in blocks of at most ``_BLOCK_CELLS`` (term, time) cells. For a
+        real-symmetric trajectory only the rows n >= 0 are summed: row -n is
+        the conjugate of row n and row 0 keeps its real part.
+        """
+        times = np.asarray(times, dtype=float)
+        out = np.zeros((2 * band + 1, len(times)), dtype=np.complex128)
+        real = self.is_real_symmetric()
+        keys = sorted(k for k in self.terms if (0 if real else -band) <= k[0] <= band)
+        if keys:
+            n, j, lam = (np.array(col) for col in zip(*keys))
+            c = np.array([self.terms[k] for k in keys])
+            step = max(1, _BLOCK_CELLS // max(len(times), 1))
+            for lo in range(0, len(keys), step):
+                blk = slice(lo, lo + step)
+                vals = (c[blk, None] * times ** j[blk, None]
+                        * np.exp(1j * lam[blk, None] * times))
+                rows, starts = np.unique(n[blk], return_index=True)
+                out[rows + band] += np.add.reduceat(vals, starts, axis=0)
+        if real:
+            out[:band] = np.conj(out[:band:-1])
+            out[band] = out[band].real
+        return out
+
     def at_time(self, t: float) -> FourierSeries:
-        """Spatial slice at time t; accumulation is mirror-canonical so
-        conjugate-symmetric trajectories evaluate to exactly symmetric series."""
-        buckets: dict = {}
-        for (n, j, lam), c in self.terms.items():
-            val = c * (t ** j if j else 1.0) * cmath.exp(1j * lam * t)
-            buckets.setdefault(n, {})[(n, j, lam)] = val
-        coeff: dict = {}
-        for n, items in buckets.items():
-            coeff[n] = _symmetric_bucket_sum(
-                items, n == 0, 1 if n >= 0 else -1,
-                lambda k: (-k[0], k[1], -k[2]))
-        return FourierSeries(self.convention, coeff)
+        """Spatial slice at time t: one column of ``coefficients``."""
+        band = self.band
+        column = self.coefficients([t], band)[:, 0].tolist()
+        return FourierSeries(self.convention, dict(zip(range(-band, band + 1), column)))
 
     def zero_mode_terms(self) -> "HarmonicTrajectory":
         return HarmonicTrajectory(
             self.convention, {k: c for k, c in self.terms.items() if k[0] == 0}
         )
 
-    def drop_zero_mode(self) -> "HarmonicTrajectory":
-        return HarmonicTrajectory(
-            self.convention, {k: c for k, c in self.terms.items() if k[0] != 0}
-        )
-
     def truncated(self, band: int) -> tuple["HarmonicTrajectory", float]:
         kept = {k: c for k, c in self.terms.items() if abs(k[0]) <= band}
         dropped = math.sqrt(sum(abs(c) ** 2 for k, c in self.terms.items() if abs(k[0]) > band))
-        return HarmonicTrajectory(self.convention, kept), dropped
-
-    def pruned(self, amp_tol: float) -> tuple["HarmonicTrajectory", float]:
-        """Drop terms with |c| <= amp_tol; returns (pruned, dropped l2 mass of amplitudes)."""
-        kept = {k: c for k, c in self.terms.items() if abs(c) > amp_tol}
-        dropped = math.sqrt(sum(abs(c) ** 2 for k, c in self.terms.items() if abs(c) <= amp_tol))
         return HarmonicTrajectory(self.convention, kept), dropped
 
     def is_real_symmetric(self, tol: float = 0.0) -> bool:

@@ -72,6 +72,27 @@ def test_int64_overflow_exit_code(tmp_path):
     assert not (out / "count_scan.csv").exists()
 
 
+def test_inexact_frequency_exit_code(tmp_path):
+    # 1553^5 is past 2^53, so the flow's frequency would not be exact
+    out = tmp_path / "run"
+    r = run_cli(["solve", "--out", str(out), "--param", "mode=1553"])
+    assert r.returncode == 2
+    assert len(r.stderr.splitlines()) == 1 and "2^53" in r.stderr
+    assert not (out / "picard.csv").exists()
+
+
+def test_gauge_check_projects_a_harmonic_final_iterate(tmp_path):
+    # max_iter=2 ends on an exact iterate, which is sampled once for both residuals
+    out = tmp_path / "run"
+    r = run_cli(["gauge-check", "--out", str(out), "--param", "band_cap=8",
+                 "--param", "time_samples=65", "--param", "max_iter=2"])
+    assert r.returncode == 0, r.stderr
+    rep = json.loads((out / "gauge.json").read_text())
+    assert rep["residual_gauged_equation"] < 1e-7
+    assert rep["residual_original_equation"] < 1e-7
+    assert rep["theta_final"] > 0.0
+
+
 def test_lock_file_blocks_concurrent_runs(tmp_path):
     out = tmp_path / "run"
     out.mkdir()

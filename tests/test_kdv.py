@@ -22,9 +22,11 @@ from dispersive_lab.kdv import (
     u_p2,
     u_squared_p1,
 )
-from dispersive_lab.kdv import _array_nonlinear, _project_to_samples
+from dispersive_lab.kdv import _array_nonlinear
 from dispersive_lab.norms import h_s_norm
-from dispersive_lab.torus import FourierSeries, HarmonicTrajectory, TorusConvention
+from dispersive_lab.torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TP = TorusConvention.TWO_PI
 
@@ -40,7 +42,8 @@ def rk4_integrating_factor(phi, spec, delta, steps, band):
     def rhs(v, t):
         ph = np.exp(1j * disp * t)
         ucur = np.conj(ph) * v
-        w_full, wb = _array_nonlinear(ucur, band, spec)
+        w_full, wb = _array_nonlinear(ucur[:, None], band, spec)
+        w_full = w_full[:, 0]
         lo = wb - band
         w = w_full[lo:lo + 2 * band + 1] if lo > 0 else np.pad(
             w_full, (band - wb, band - wb))
@@ -89,6 +92,21 @@ def test_flow_isometry():
     for s in (0.0, 0.7, 2.0):
         assert h_s_norm(linear_flow(phi, 0.83), s) == pytest.approx(
             h_s_norm(phi, s), rel=1e-12)
+
+
+def test_flow_frequencies_exact_up_to_1552():
+    # 1552^5 < 2^53 <= 1553^5: past that float64 would round the frequency
+    u = flow_trajectory(FourierSeries(TP, {1552: 1.0}))
+    (key,) = u.terms
+    assert key[2] == -(1552**5)
+    with pytest.raises(BandCapExceeded):
+        flow_trajectory(FourierSeries(TP, {1553: 1.0}))
+
+
+def test_picard_rejects_band_cap_past_exact_dispersion():
+    phi = FourierSeries(TP, {1: 0.1, -1: 0.1})
+    with pytest.raises(BandCapExceeded):
+        picard_solve(phi, u_squared_p1(), 1e-3, max_iter=1, band_cap=1553)
 
 
 def test_flow_requires_two_pi():
@@ -176,6 +194,30 @@ def test_duhamel_near_resonant_series():
               for (nn, j, freq), c in out.terms.items())
     want = -t * cmath.exp(-1j * t) * (1 + 1j * mu * t / 2)  # series to first order
     assert val == pytest.approx(want, rel=1e-10)
+
+
+def test_duhamel_real_forcing_matches_termwise_sum():
+    # the canonical-key rule gives the same numbers as Duhamel of each term
+    # alone (single terms are not real, so the rule never fires on them)
+    rng = np.random.default_rng(4)
+    terms = {(0, 0, 0.0): 0.7, (0, 1, 5.0): 0.2 - 0.1j, (0, 1, -5.0): 0.2 + 0.1j}
+    for _ in range(6):
+        n, j, lam = int(rng.integers(1, 4)), int(rng.integers(0, 2)), float(rng.integers(-300, 300))
+        c = complex(*rng.standard_normal(2))
+        terms[(n, j, lam)] = c
+        terms[(-n, j, -lam)] = c.conjugate()
+    terms[(2, 0, -32.0)] = 1.5j  # resonant
+    terms[(-2, 0, 32.0)] = -1.5j
+    w = HarmonicTrajectory(TP, terms)
+    assert w.is_real_symmetric()
+    got = duhamel(w, horizon=2.0)
+    assert got.is_real_symmetric(tol=0.0)
+    want = HarmonicTrajectory(TP, {})
+    for key, c in w.terms.items():
+        want = want + duhamel(HarmonicTrajectory(TP, {key: c}), horizon=2.0)
+    assert set(got.terms) == set(want.terms)
+    scale = max(abs(c) for c in want.terms.values())
+    assert max(abs(got.terms[k] - want.terms[k]) for k in want.terms) <= 1e-15 * scale
 
 
 def test_duhamel_differential_identity():
@@ -313,15 +355,38 @@ def test_picard_p2_contracts():
     assert contraction_achieved(states)
 
 
+@pytest.mark.parametrize("spec", [
+    u_squared_p1(), u_p2(), NonlinearitySpec(p1=(0.0, 0.0, 1.0), mean_removed=True)],
+    ids=["u_squared_p1", "u_p2", "gauge"])
+def test_frame_nonlinearity_matches_exact(spec):
+    # the frame-matrix nonlinearity against exact products of the harmonic sum
+    rng = np.random.default_rng(5)
+    band = 4
+    coeff = {0: 0.2}
+    for n in range(1, band + 1):
+        c = 0.3 * complex(*rng.standard_normal(2))
+        coeff[n], coeff[-n] = c, c.conjugate()
+    u, _ = first_iterate(FourierSeries(TP, coeff), u_squared_p1()).truncated(band)
+    times = np.linspace(0.0, 1e-2, 9)
+    w, wb = _array_nonlinear(u.coefficients(times, band), band, spec)
+    want = nonlinear_term(u, spec).coefficients(times, 3 * band)
+    assert wb == 3 * band
+    assert np.abs(w - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_sampled_projection_matches_exact():
+    # coefficients() against a term-by-term sum, including rows above the band
     phi = two_mode_data(2, 1.0, 0.5)
     u = first_iterate(phi, u_squared_p1())
     times = np.linspace(0.0, 1e-2, 9)
-    samp = _project_to_samples(u, times, 8)
+    samp = u.coefficients(times, 8)
+    assert samp.shape == (17, 9)
     for m, t in enumerate(times):
-        f = u.at_time(t)
-        for n in range(-8, 9):
-            assert samp.coeffs[n + 8, m] == pytest.approx(f[n], abs=1e-14)
+        want = np.zeros(17, dtype=complex)
+        for (n, j, lam), c in u.terms.items():
+            if abs(n) <= 8:
+                want[n + 8] += c * t**j * cmath.exp(1j * lam * t)
+        assert np.abs(samp[:, m] - want).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,35 @@ from dispersive_lab.torus import (
     bracket,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 UNIT = TorusConvention.UNIT
 TWO_PI = TorusConvention.TWO_PI
+
+
+def random_real_trajectory(rng, band=3):
+    """Exactly real-symmetric terms on modes 0..band, each at a random
+    integer frequency and at the non-integer 0.25 and -1 + 1e-12, with
+    random secular powers; the zero mode gets conjugate pairs at +-lambda.
+    Terms are in key order, as ``from_json`` builds them, so conjugate
+    partners are not neighbours."""
+    terms = {(0, 0, 0.0): complex(rng.standard_normal(), 0.0)}
+    for n in range(band + 1):
+        for lam in (float(rng.integers(1, 200)), 0.25, -1.0 + 1e-12):
+            key = (n, int(rng.integers(0, 2)), lam)
+            c = complex(*rng.standard_normal(2))
+            terms[key] = c
+            terms[(-n, key[1], -lam)] = c.conjugate()
+    return HarmonicTrajectory(TWO_PI, dict(sorted(terms.items())))
+
+
+def brute_product(u, v):
+    out = {}
+    for (n1, j1, l1), c1 in u.terms.items():
+        for (n2, j2, l2), c2 in v.terms.items():
+            key = (n1 + n2, j1 + j2, l1 + l2)
+            out[key] = out.get(key, 0j) + c1 * c2
+    return out
 
 
 def random_series(rng, band, convention=TWO_PI):
@@ -133,6 +160,54 @@ def test_trajectory_evaluate_consistency():
     f = u.at_time(t)
     want = (1 + 1j) * t * np.exp(-4j * t)
     assert abs(f[2] - want) < 1e-15
+
+
+def test_real_trajectory_evaluates_exactly_symmetric():
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        u = random_real_trajectory(rng)
+        assert u.is_real_symmetric()
+        times = np.linspace(0.0, 0.9, 7)
+        coeffs = u.coefficients(times, 5)
+        assert np.array_equal(coeffs[::-1], np.conj(coeffs))
+        for t in times:
+            assert u.at_time(t).is_real_symmetric(tol=0.0)
+
+
+def test_real_product_matches_brute_force():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        u, v = random_real_trajectory(rng), random_real_trajectory(rng)
+        got = u.product(v)
+        assert got.is_real_symmetric(tol=0.0)
+        want = brute_product(u, v)
+        scale = max(abs(c) for c in want.values())
+        for key in set(got.terms) | set(want):
+            assert abs(got.terms.get(key, 0j) - want.get(key, 0j)) <= 1e-15 * scale
+
+
+def test_real_times_nonreal_product_sums_in_full():
+    # a single-mode forcing is not real, so the canonical-key rule must not fire
+    rng = np.random.default_rng(9)
+    u = random_real_trajectory(rng)
+    forcing = HarmonicTrajectory(TWO_PI, {(2, 0, 13.0): complex(0.6, -0.8)})
+    assert not forcing.is_real_symmetric()
+    for got in (u.product(forcing), forcing.product(u)):
+        want = brute_product(u, forcing)
+        assert set(got.terms) == {k for k, c in want.items() if c != 0}
+        for key, c in want.items():
+            assert abs(got.terms.get(key, 0j) - c) <= 1e-15 * abs(c)
+
+
+def test_frequency_guard_at_2_pow_53():
+    # every integer below 2^53 is a float64; a sum reaching it raises
+    near = 2.0**52
+    u = HarmonicTrajectory(TWO_PI, {(1, 0, near): 1.0})
+    assert u.terms == {(1, 0, near): 1.0 + 0j}
+    with pytest.raises(BandCapExceeded):
+        u.product(u)
+    with pytest.raises(BandCapExceeded):
+        HarmonicTrajectory(TWO_PI, {(0, 0, -(2.0**53)): 1.0})
 
 
 def test_truncation_reports_mass():
