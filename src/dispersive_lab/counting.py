@@ -129,12 +129,6 @@ class CountTable:
             return float(np.sum(np.abs(arr) ** 2))
         return _square_sum(self.dense if self.dense is not None else [self.values])
 
-    def max_count(self):
-        arr = self.dense if self.dense is not None else self.values
-        if self.weighted:
-            return float(np.abs(arr).max())
-        return int(arr.max())
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             fh.write("A,B,count\n")

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .torus import FourierSeries, HarmonicTrajectory, bracket
+from .torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, bracket
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,11 +111,16 @@ MAX_EXACT_MODE = 1552  # 1552^5 < 2^53 <= 1553^5
 def dispersion(n):
     """n^5, the frequency of mode n under e^{-t d_x^5} (the curve is lambda = -n^5).
 
-    Takes an int or an integer array; exact in float64 for |n| <= MAX_EXACT_MODE.
+    Takes an int or an integer array. Past MAX_EXACT_MODE float64 would
+    round n^5, so any |n| > MAX_EXACT_MODE raises ``BandCapExceeded``.
     """
-    if isinstance(n, np.ndarray):
-        return n.astype(float) ** 5
-    return float(n) ** 5
+    array = isinstance(n, np.ndarray)
+    top = int(np.abs(n).max(initial=0)) if array else abs(n)
+    if top > MAX_EXACT_MODE:
+        raise BandCapExceeded(
+            f"mode |n| = {top}: n^5 is not below 2^53, "
+            "where float64 stops holding integers exactly")
+    return n.astype(float) ** 5 if array else float(n) ** 5
 
 
 def _mode_groups(u: HarmonicTrajectory):

@@ -150,9 +150,6 @@ class FourierSeries:
                 return False
         return True
 
-    def mean_coefficient(self) -> complex:
-        return self[0]
-
     def to_json(self) -> str:
         records = [
             {"n": n, "re": c.real, "im": c.imag}

@@ -6,7 +6,9 @@ coefficients are evaluated through Ramanujan sums (O(Q) work per
 coefficient instead of an O(Q^2) Farey sum) by one batched evaluator,
 ``PhiData.phi_hat_many``, and the Dirichlet curve kernel
 K_N splits into a bounded major-arc part and a part with uniformly small
-Fourier coefficients vanishing on the curve.
+Fourier coefficients vanishing on the curve. The bump's real-line
+transform is read from a table that a 256-interval trapezoid rule builds
+on demand, out to the largest argument asked for.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ class RationalApprox:
             raise ValueError("q must be positive")
         if math.gcd(self.a, self.q) != 1:
             raise ValueError("a/q must be reduced")
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.a, self.q)
 
 
 def rational_approx(t, q_max: int) -> RationalApprox:
@@ -127,90 +126,67 @@ def _bump_prototype(u: np.ndarray) -> np.ndarray:
 class BumpSpec:
     """Smooth bump supported on [1/200, 1/100] with tabulated Fourier transform."""
 
-    support: tuple = (1.0 / 200.0, 1.0 / 100.0)
-    _table_xi: np.ndarray = field(default=None, repr=False)
-    _table_val: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def width(self) -> float:
-        return self.support[1] - self.support[0]
-
-    def profile(self, v) -> np.ndarray:
-        """Bump value at v (supported on [1/200, 1/100])."""
-        lo, _ = self.support
-        return _bump_prototype((np.asarray(v, dtype=float) - lo) / self.width)
-
-    def _gauss_grid(self, panels: int, order: int = 16):
-        x, w = np.polynomial.legendre.leggauss(order)
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        u = (centers[:, None] + half * x[None, :]).ravel()
-        wt = np.tile(half * w, panels)
-        return u, wt
-
+    SUPPORT = (1.0 / 200.0, 1.0 / 100.0)
+    WIDTH = SUPPORT[1] - SUPPORT[0]
+    # trapezoid intervals on the support: the integrand is C^infinity with
+    # every derivative zero at both ends, so the rule converges geometrically
+    # (Trefethen & Weideman, SIAM Review 56, 2014); its first alias sits at
+    # NODES / WIDTH = 51200, far past XI_DEAD
+    NODES = 256
     # beyond this argument the transform is below ~1e-12 of its peak and is
     # treated as identically zero by the tabulated path
     XI_DEAD = 17500.0
+    _STEP = 0.05  # table spacing; table entry i holds the transform at i * _STEP
 
-    def _quad_block(self, xi_block: np.ndarray, panels: int) -> np.ndarray:
-        lo, _ = self.support
-        w = self.width
-        u, wt = self._gauss_grid(panels)
-        vals = _bump_prototype(u) * wt
-        out = np.empty(len(xi_block), dtype=np.complex128)
-        chunk = max(1, int(2e7 / (len(u) + 1)))
-        nodes = lo + w * u
-        for i in range(0, len(xi_block), chunk):
-            theta = 2.0 * np.pi * np.outer(xi_block[i:i + chunk], nodes)
-            out[i:i + chunk] = w * ((np.cos(theta) @ vals) - 1j * (np.sin(theta) @ vals))
-        return out
+    _table_val: np.ndarray = field(default=None, repr=False)
+
+    def profile(self, v) -> np.ndarray:
+        """Bump value at v (supported on [1/200, 1/100])."""
+        return _bump_prototype((np.asarray(v, dtype=float) - self.SUPPORT[0]) / self.WIDTH)
 
     def fourier_transform_quad(self, xi) -> np.ndarray:
-        """F phi(xi) = int phi(t) e^{-2 pi i xi t} dt by composite Gauss quadrature.
+        """F phi(xi) = int phi(t) e^{-2 pi i xi t} dt by the trapezoid rule.
 
-        The panel count scales with the block's oscillation, so large grids
-        mixing small and huge arguments stay affordable.
+        The bump is even about its midpoint m, so the nodes m +- j h pair
+        up: F phi(xi) = e^{-2 pi i xi m} sum_j v_j cos(2 pi xi j h), one cos
+        matmul over the NODES/2 offsets (the end values are zero) in chunks
+        of about 2^16 cells. The cos phases stay below pi xi WIDTH, which
+        keeps their rounding, and the rule's error, near 1e-15 of the peak.
         """
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty(len(xi_arr), dtype=np.complex128)
-        w2pi = self.width * TWO_PI
-        mag = np.abs(xi_arr)
-        top = float(mag.max(initial=0.0))
-        lo_edge = 0.0
-        panels = 32
-        while True:
-            hi_edge = max(panels * 6.0 / w2pi, 64.0)
-            if panels >= 8192:
-                hi_edge = math.inf
-            mask = (mag >= lo_edge) & (mag < hi_edge)
-            if mask.any():
-                out[mask] = self._quad_block(xi_arr[mask], panels)
-            if hi_edge > top:
-                break
-            lo_edge = hi_edge
-            panels *= 2
+        h = self.WIDTH / self.NODES
+        half = self.NODES // 2
+        mid = self.SUPPORT[0] + half * h
+        offsets = h * np.arange(half)
+        vals = 2.0 * h * self.profile(mid + offsets)
+        vals[0] *= 0.5  # the midpoint node is not paired
+        cos_sum = np.empty(len(xi_arr))
+        chunk = (1 << 16) // half
+        for i in range(0, len(xi_arr), chunk):
+            cos_sum[i:i + chunk] = np.cos(TWO_PI * np.outer(xi_arr[i:i + chunk], offsets)) @ vals
+        out = cos_sum * np.exp(-1j * TWO_PI * mid * xi_arr)
         return out if np.ndim(xi) else out[0]
-
-    _STEP = 0.05
 
     def _ensure_table(self, xi_max: float):
         xi_max = min(max(xi_max, 64.0), self.XI_DEAD)
-        if self._table_xi is not None and self._table_xi[-1] >= xi_max + 2 * self._STEP:
+        table = self._table_val
+        if table is not None and (len(table) - 1) * self._STEP >= xi_max + 2 * self._STEP:
             return
         # 25% headroom against regrowth, but none past XI_DEAD, where the
-        # table is never read and the quadrature is dearest
+        # table is never read
         grid = np.arange(0.0, min(xi_max * 1.25, self.XI_DEAD) + 8 * self._STEP, self._STEP)
-        vals = self.fourier_transform_quad(grid)
-        self._table_xi = grid
-        self._table_val = vals
+        self._table_val = self.fourier_transform_quad(grid)
 
     def fourier_transform(self, xi) -> np.ndarray:
-        """Tabulated transform, 4-point Lagrange on a uniform grid (~1e-13 relative).
+        """Tabulated transform, 4-point Lagrange on a uniform grid.
 
-        Negative xi uses conjugate symmetry of the real profile; arguments
-        beyond XI_DEAD return exactly zero (the true value is below 1e-12 of
-        the peak there).
+        Within 1.3e-12 of the peak F phi(0) against the trapezoid rule,
+        measured at every cell midpoint; that maximum sits in the first
+        cell, |xi| < 0.05, where the stencil overhangs the table's left
+        edge, and every other cell stays within 7.6e-13. Negative xi
+        uses conjugate symmetry of the real profile; arguments beyond
+        XI_DEAD return exactly zero (the true value is below 1e-12 of the
+        peak there).
         """
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
         mag = np.abs(xi_arr)
@@ -218,15 +194,15 @@ class BumpSpec:
         every = bool(alive.all())  # skips the masked copies in the common case
         m = mag if every else mag[alive]
         self._ensure_table(float(m.max()) if len(m) else 1.0)
+        tv = self._table_val
         pos = m / self._STEP
-        i0 = np.clip(pos.astype(np.int64) - 1, 0, len(self._table_xi) - 4)
+        i0 = np.clip(pos.astype(np.int64) - 1, 0, len(tv) - 4)
         s = pos - i0  # in [1, 2) away from the edges
         s1, s2, s3 = s - 1, s - 2, s - 3
         w0 = -s1 * s2 * s3 / 6.0
         w1 = s * s2 * s3 / 2.0
         w2 = -s * s1 * s3 / 2.0
         w3 = s * s1 * s2 / 6.0
-        tv = self._table_val
         val = w0 * tv[i0] + w1 * tv[i0 + 1] + w2 * tv[i0 + 2] + w3 * tv[i0 + 3]
         val.imag[(xi_arr if every else xi_arr[alive]) < 0] *= -1  # conjugate
         if every:
@@ -321,7 +297,7 @@ class PhiData:
         """Direct evaluation of the defining arc sum at t (periodic in t)."""
         t = t % 1.0
         total = 0.0
-        lo, hi = self.bump.support
+        lo, hi = self.bump.SUPPORT
         for q in range(self.q_lo, self.q_hi + 1):
             a = round(t * q)
             if a < 1 or a > q or math.gcd(a, q) != 1:
@@ -332,13 +308,13 @@ class PhiData:
         return total
 
 
-def build_phi(Q: int, bump: BumpSpec | None = None) -> PhiData:
+def build_phi(Q: int) -> PhiData:
     """Farey bump on arcs with q in [Q, 5Q]; 'q ~ Q' is read as this range.
 
-    The default bump is a shared instance so its transform table is built
+    Every Phi shares one bump instance, so its transform table is built
     once per process.
     """
-    return PhiData(int(Q), bump or DEFAULT_BUMP)
+    return PhiData(int(Q), DEFAULT_BUMP)
 
 
 _SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -453,12 +429,6 @@ class KernelDecomposition:
     def phi_hat0(self) -> float:
         return self._phi_hat0
 
-    def kernel(self, x: float, t: float) -> complex:
-        return dirichlet_curve_kernel(self.N, self.d, x, t)
-
-    def k1(self, x: float, t: float) -> complex:
-        return self.kernel(x, t) * self.phi.phi_eval(t) / self._phi_hat0
-
     def k1_at_arc(self, a: int, q: int, u: float, x: float) -> complex:
         """K_1 at t = a/q + u/q^2 for u in the bump support (Phi known by construction)."""
         t = a / q + u / (q * q)
@@ -479,22 +449,8 @@ class KernelDecomposition:
         base = 1.0 if k == 0 else 0.0
         return base - self.phi.phi_hat(k) / self._phi_hat0
 
-    def k2_curve_factor(self, t: float, k_max: int, phi_hat_table: np.ndarray | None = None) -> complex:
-        """T(t) = sum_{|k| <= k_max} (delta_k0 - Phi_hat(k)/Phi_hat0) e^{2 pi i k t}.
 
-        The coefficient-rule evaluation of K_2 factorizes as K_2(x,t) =
-        K_N(x,t) * T(t) after summing n2 over the truncated grid around the
-        curve.
-        """
-        tab = phi_hat_table if phi_hat_table is not None else self.phi.phi_hat_dense(k_max)
-        ks = np.arange(1, k_max + 1)
-        pos = tab[1:k_max + 1]
-        osc = np.exp(2j * np.pi * ks * (t % 1.0))
-        total = 1.0 - (tab[0] + np.sum(pos * osc) + np.sum(np.conj(pos) * np.conj(osc))) / self._phi_hat0
-        return complex(total)
-
-
-def decompose_kernel(N: int, d: int, Q, bump: BumpSpec | None = None) -> KernelDecomposition:
+def decompose_kernel(N: int, d: int, Q) -> KernelDecomposition:
     """Split K_N against the arc bump for Q in the major/minor regime [N^{d-1}, N^d].
 
     Non-integer Q is floored; outside the regime a warning is attached and
@@ -507,7 +463,7 @@ def decompose_kernel(N: int, d: int, Q, bump: BumpSpec | None = None) -> KernelD
             f"Q={Qi} outside the regime [N^(d-1), N^d] = [{N**(d-1)}, {N**d}]",
             stacklevel=2,
         )
-    return KernelDecomposition(N, d, Qi, build_phi(Qi, bump), regime_ok)
+    return KernelDecomposition(N, d, Qi, build_phi(Qi), regime_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dispersive_lab.kdv import (
     u_squared_p1,
 )
 from dispersive_lab.kdv import _array_nonlinear
-from dispersive_lab.norms import h_s_norm
+from dispersive_lab.norms import dispersion, h_s_norm
 from dispersive_lab.torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -101,6 +101,17 @@ def test_flow_frequencies_exact_up_to_1552():
     assert key[2] == -(1552**5)
     with pytest.raises(BandCapExceeded):
         flow_trajectory(FourierSeries(TP, {1553: 1.0}))
+    # the guard sits in dispersion itself, so the flow and the array form
+    # (sampled Duhamel, norm weights) refuse the mode too
+    t = 0.3
+    got = linear_flow(FourierSeries(TP, {-1552: 1.0}), t)[-1552]
+    assert got == cmath.exp(-1j * float((-1552) ** 5) * t)
+    with pytest.raises(BandCapExceeded):
+        linear_flow(FourierSeries(TP, {1553: 1.0}), t)
+    assert np.array_equal(dispersion(np.arange(-1552, 1553)),
+                          [float(n**5) for n in range(-1552, 1553)])
+    with pytest.raises(BandCapExceeded):
+        dispersion(np.array([0, -1553]))
 
 
 def test_picard_rejects_band_cap_past_exact_dispersion():

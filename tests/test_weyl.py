@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dispersive_lab.counting import mobius_phi_sieve
 from dispersive_lab.weyl import (
@@ -19,6 +20,8 @@ from dispersive_lab.weyl import (
     rational_approx,
     weyl_sum,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +125,36 @@ def test_bump_support_and_positivity():
     assert b.transform_at_zero > 0.0
 
 
+def test_bump_transform_matches_qawo_oracle():
+    # the trapezoid rule against scipy's Fourier-weighted quadrature (QUADPACK
+    # QAWO), an independent rule, across the whole live range of xi
+    b = BumpSpec()
+    lo, hi = b.SUPPORT
+    peak = b.transform_at_zero
+    xi = np.linspace(0.0, b.XI_DEAD, 10, endpoint=False) + 37.3
+
+    def oracle(x):
+        kw = dict(wvar=2.0 * math.pi * x, epsabs=1e-18, epsrel=0.0, limit=200)
+        re = quad(b.profile, lo, hi, weight="cos", **kw)[0]
+        return re - 1j * quad(b.profile, lo, hi, weight="sin", **kw)[0]
+
+    want = np.array([oracle(x) for x in xi])
+    assert np.abs(b.fourier_transform_quad(xi) - want).max() < 1e-13 * peak
+
+
 def test_bump_transform_interpolation_accuracy():
     b = BumpSpec()
+    peak = b.transform_at_zero
     rng = np.random.default_rng(8)
-    xi = rng.random(50) * 300.0
+    xi = rng.random(400) * 17_400.0
     fast = b.fourier_transform(xi)
     slow = b.fourier_transform_quad(xi)
-    assert np.abs(fast - slow).max() < 1e-9
+    assert np.abs(fast - slow).max() < 1e-11 * peak
+    # exact conjugate symmetry, and exact zeros past XI_DEAD
+    assert np.array_equal(b.fourier_transform(-xi), np.conj(fast))
+    dead = np.array([b.XI_DEAD, -b.XI_DEAD, 2 * b.XI_DEAD, -1e9])
+    assert np.array_equal(b.fourier_transform(dead), np.zeros(4))
+    assert b.fourier_transform(-b.XI_DEAD) == 0
 
 
 # ---------------------------------------------------------------------------
