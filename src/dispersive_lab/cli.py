@@ -127,14 +127,11 @@ def _run_strichartz(cfg, out):
 def _run_levelset(cfg, out):
     d, N = cfg["d"], cfg["N"][0]
     sampler = strichartz.SamplerConfig(samples=cfg["samples"], seed=cfg["seed"])
-    if cfg["case"] == "curve":
-        rep = strichartz.verify_curve_levelset_decay(
-            d, N, config=sampler, points=cfg["points"], min_hits=cfg["min_hits"])
-    elif cfg["case"] == "kernel":
-        rep = strichartz.verify_kernel_levelset_decay(
-            d, N, config=sampler, points=cfg["points"], min_hits=cfg["min_hits"])
-    else:
+    verify = {"curve": strichartz.verify_curve_levelset_decay,
+              "kernel": strichartz.verify_kernel_levelset_decay}.get(cfg["case"])
+    if verify is None:
         raise ConfigError(f"unknown level-set case {cfg['case']!r}")
+    rep = verify(d, N, config=sampler, points=cfg["points"], min_hits=cfg["min_hits"])
     rows = [(r["lam"], r["measure"], r["ci"], cfg["samples"]) for r in rep["rows"]]
     write_csv(os.path.join(out, "levelset.csv"),
               ["lambda", "estimate", "ci", "samples"], rows)

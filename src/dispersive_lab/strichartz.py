@@ -20,6 +20,8 @@ from .norms import TimeWindow, xsb_norm
 from .torus import HarmonicTrajectory
 
 TWO_PI = 2.0 * math.pi
+SAMPLE_CHUNK = 250_000  # level-set points drawn (x, then t) per curve_sum call
+Z_95 = 1.96  # Wilson interval quantile
 
 
 @dataclass
@@ -204,8 +206,6 @@ def k_lower_envelope(p: int, N: int, d: int,
 class SamplerConfig:
     samples: int = 1_000_000
     seed: int = 0
-    chunk: int = 250_000
-    z: float = 1.96
 
 
 @dataclass
@@ -213,7 +213,6 @@ class LevelSetEntry:
     lam: float
     measure_estimate: float
     ci_halfwidth: float
-    samples: int
     hits: int
 
 
@@ -223,7 +222,8 @@ class LevelSetProfile:
 
     def monotone_up_to_ci(self) -> bool:
         """Estimates nonincreasing in lambda, allowing CI-overlap violations."""
-        for prev, cur in zip(self.entries, self.entries[1:]):
+        entries = sorted(self.entries, key=lambda e: e.lam)
+        for prev, cur in zip(entries, entries[1:]):
             if cur.measure_estimate - prev.measure_estimate > (
                 cur.ci_halfwidth + prev.ci_halfwidth
             ):
@@ -231,53 +231,73 @@ class LevelSetProfile:
         return True
 
 
-def _wilson_halfwidth(hits: int, n: int, z: float) -> float:
+def _wilson_halfwidth(hits: int, n: int) -> float:
     p_hat = hits / n
-    denom = 1.0 + z * z / n
-    return z * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
+    denom = 1.0 + Z_95 * Z_95 / n
+    return Z_95 * math.sqrt(p_hat * (1 - p_hat) / n + Z_95 * Z_95 / (4 * n * n)) / denom
 
 
 def level_set_measure(vec: CoefficientVector, d: int, lam: float,
                       config: SamplerConfig | None = None) -> LevelSetEntry:
     """Monte Carlo measure of {(x,t) in [0,1)^2 : |F(x,t)| > lam}, Wilson CI."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    config = config or SamplerConfig()
-    rng = np.random.default_rng(config.seed)
-    hits = 0
-    done = 0
-    while done < config.samples:
-        m = min(config.chunk, config.samples - done)
-        x = rng.random(m)
-        t = rng.random(m)
-        vals = curve_sum(vec.a, d, x, t, scale=TWO_PI)
-        hits += int(np.count_nonzero(np.abs(vals) > lam))
-        done += m
-    half = _wilson_halfwidth(hits, config.samples, config.z)
-    return LevelSetEntry(lam, hits / config.samples, half, config.samples, hits)
+    return level_set_profile(vec, d, [lam], config).entries[0]
 
 
 def level_set_profile(vec: CoefficientVector, d: int, lams,
                       config: SamplerConfig | None = None) -> LevelSetProfile:
+    """Level-set measures for every lam (any order), from one seeded sample set.
+
+    |F| is evaluated once per point and binned against the sorted levels.
+    The points are i.i.d., so each level's Wilson interval holds as for its
+    own sample, and the estimates are exactly nonincreasing in lambda.
+    """
     config = config or SamplerConfig()
-    entries = []
-    for i, lam in enumerate(lams):
-        cfg = SamplerConfig(config.samples, config.seed + 977 * i, config.chunk, config.z)
-        entries.append(level_set_measure(vec, d, float(lam), cfg))
-    return LevelSetProfile(entries)
+    lams = np.asarray(lams, dtype=np.float64)
+    if not np.all(lams >= 0):
+        raise ValueError("lambda must be nonnegative")
+    grid = np.sort(lams)
+    rng = np.random.default_rng(config.seed)
+    # bins[i] counts the points with exactly i levels strictly below |F|
+    bins = np.zeros(len(grid) + 1, dtype=np.int64)
+    for done in range(0, config.samples, SAMPLE_CHUNK):
+        m = min(SAMPLE_CHUNK, config.samples - done)
+        x = rng.random(m)
+        t = rng.random(m)
+        vals = np.abs(curve_sum(vec.a, d, x, t, scale=TWO_PI))
+        bins += np.bincount(np.searchsorted(grid, vals), minlength=len(bins))
+    # |F| > lam exactly when more than the levels <= lam lie below |F|
+    tails = np.cumsum(bins[::-1])[::-1]
+    hits = tails[np.searchsorted(grid, lams, side="right")].tolist()
+    n = config.samples
+    return LevelSetProfile([LevelSetEntry(float(lam), h / n, _wilson_halfwidth(h, n), h)
+                            for lam, h in zip(lams, hits)])
 
 
-def _decay_report(profile: LevelSetProfile, numer_power: float, n_power: float,
-                  N: int, min_hits: int):
+# case: (normalized, lo(d), top(N), law(d)): the regime lam in [c N^lo, 2 top]
+# is checked against the law lam^{-(2^d+2)} N^law
+_DECAY_CASES = {
+    "curve": (True, lambda d: 0.5 - 2.0 ** (-d), math.sqrt, lambda d: 2.0 ** (d - 1) - d),
+    "kernel": (False, lambda d: 1.0 - 2.0 ** (1 - d), float, lambda d: 2.0**d - d + 1),
+}
+
+
+def _levelset_decay(case: str, d: int, N: int, lam_grid, config: SamplerConfig | None,
+                    c_low: float, points: int, min_hits: int) -> dict:
+    """Decay report for one _DECAY_CASES row; levels under min_hits do not qualify."""
+    normalize, lo, top, law = _DECAY_CASES[case]
+    lam_lo = c_low * N ** lo(d)
+    lam_hi = 2.0 * top(N)
+    if lam_grid is None:
+        lam_grid = np.geomspace(lam_lo, lam_hi, points)
+    profile = level_set_profile(all_ones(N, normalize=normalize), d, lam_grid, config)
     rows = []
     for e in profile.entries:
-        ratio = e.measure_estimate * e.lam**numer_power / N**n_power
         rows.append({
             "lam": e.lam,
             "measure": e.measure_estimate,
             "ci": e.ci_halfwidth,
             "hits": e.hits,
-            "ratio": ratio,
+            "ratio": e.measure_estimate * e.lam ** (2.0**d + 2) / N ** law(d),
             "qualifies": e.hits >= min_hits,
         })
     ratios = [r["ratio"] for r in rows if r["qualifies"]]
@@ -286,6 +306,8 @@ def _decay_report(profile: LevelSetProfile, numer_power: float, n_power: float,
         "qualifying": len(ratios),
         "stability": (max(ratios) / min(ratios)) if len(ratios) >= 2 else None,
         "regime_unreachable": len(ratios) < 2,
+        "d": d, "N": N, "lam_lo": lam_lo, "lam_hi": lam_hi,
+        "monotone": profile.monotone_up_to_ci(), "case": case,
     }
 
 
@@ -295,21 +317,9 @@ def verify_curve_levelset_decay(d: int, N: int, lam_grid=None,
                                 min_hits: int = 50) -> dict:
     """Decay of |E_lam| for the normalized all-ones curve sum.
 
-    Checks the high-level regime lam in [c N^{1/2 - 2^{-d}}, 2 N^{1/2}]
-    against the predicted lam^{-(2^d+2)} N^{2^{d-1}-d} law; entries with too
-    few Monte Carlo hits are reported but excluded from the stability
-    statistic. An empty qualifying set is flagged as unreachable at this N.
+    Regime lam in [c N^{1/2 - 2^{-d}}, 2 N^{1/2}] against lam^{-(2^d+2)} N^{2^{d-1}-d}.
     """
-    vec = all_ones(N)
-    lam_lo = c_low * N ** (0.5 - 2.0 ** (-d))
-    lam_hi = 2.0 * math.sqrt(N)
-    if lam_grid is None:
-        lam_grid = np.geomspace(lam_lo, lam_hi, points)
-    profile = level_set_profile(vec, d, lam_grid, config)
-    report = _decay_report(profile, 2.0**d + 2, 2.0 ** (d - 1) - d, N, min_hits)
-    report.update({"d": d, "N": N, "lam_lo": lam_lo, "lam_hi": lam_hi,
-                   "monotone": profile.monotone_up_to_ci(), "case": "curve"})
-    return report
+    return _levelset_decay("curve", d, N, lam_grid, config, c_low, points, min_hits)
 
 
 def verify_kernel_levelset_decay(d: int, N: int, lam_grid=None,
@@ -320,16 +330,7 @@ def verify_kernel_levelset_decay(d: int, N: int, lam_grid=None,
 
     Regime lam in [c N^{1 - 2^{1-d}}, 2N] against lam^{-(2^d+2)} N^{2^d-d+1}.
     """
-    vec = all_ones(N, normalize=False)
-    lam_lo = c_low * N ** (1.0 - 2.0 ** (1 - d))
-    lam_hi = 2.0 * N
-    if lam_grid is None:
-        lam_grid = np.geomspace(lam_lo, lam_hi, points)
-    profile = level_set_profile(vec, d, lam_grid, config)
-    report = _decay_report(profile, 2.0**d + 2, 2.0**d - d + 1, N, min_hits)
-    report.update({"d": d, "N": N, "lam_lo": lam_lo, "lam_hi": lam_hi,
-                   "monotone": profile.monotone_up_to_ci(), "case": "kernel"})
-    return report
+    return _levelset_decay("kernel", d, N, lam_grid, config, c_low, points, min_hits)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ class BumpSpec:
     # beyond this argument the transform is below ~1e-12 of its peak and is
     # treated as identically zero by the tabulated path
     XI_DEAD = 17500.0
-    _STEP = 0.05  # table spacing; table entry i holds the transform at i * _STEP
+    _STEP = 0.05  # table spacing; table entry i holds the transform at (i - 1) * _STEP
 
     _table_val: np.ndarray = field(default=None, repr=False)
 
@@ -170,23 +170,23 @@ class BumpSpec:
     def _ensure_table(self, xi_max: float):
         xi_max = min(max(xi_max, 64.0), self.XI_DEAD)
         table = self._table_val
-        if table is not None and (len(table) - 1) * self._STEP >= xi_max + 2 * self._STEP:
+        if table is not None and (len(table) - 2) * self._STEP >= xi_max + 2 * self._STEP:
             return
         # 25% headroom against regrowth, but none past XI_DEAD, where the
         # table is never read
-        grid = np.arange(0.0, min(xi_max * 1.25, self.XI_DEAD) + 8 * self._STEP, self._STEP)
-        self._table_val = self.fourier_transform_quad(grid)
+        top = min(xi_max * 1.25, self.XI_DEAD) + 8 * self._STEP
+        self._table_val = self.fourier_transform_quad(np.arange(-1.0, top / self._STEP) * self._STEP)
 
     def fourier_transform(self, xi) -> np.ndarray:
         """Tabulated transform, 4-point Lagrange on a uniform grid.
 
-        Within 1.3e-12 of the peak F phi(0) against the trapezoid rule,
-        measured at every cell midpoint; that maximum sits in the first
-        cell, |xi| < 0.05, where the stencil overhangs the table's left
-        edge, and every other cell stays within 7.6e-13. Negative xi
-        uses conjugate symmetry of the real profile; arguments beyond
-        XI_DEAD return exactly zero (the true value is below 1e-12 of the
-        peak there).
+        Within 7.6e-13 of the peak F phi(0) against the trapezoid rule,
+        measured at every cell midpoint; the first cell, |xi| < 0.05,
+        reads the entry at -0.05, the conjugate of the one at 0.05, so its
+        stencil is centred like every other cell's. Negative xi uses
+        conjugate symmetry of the real profile; arguments beyond XI_DEAD
+        return exactly zero (the true value is below 1e-12 of the peak
+        there).
         """
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
         mag = np.abs(xi_arr)
@@ -196,14 +196,14 @@ class BumpSpec:
         self._ensure_table(float(m.max()) if len(m) else 1.0)
         tv = self._table_val
         pos = m / self._STEP
-        i0 = np.clip(pos.astype(np.int64) - 1, 0, len(tv) - 4)
-        s = pos - i0  # in [1, 2) away from the edges
+        i0 = np.clip(pos.astype(np.int64) - 1, -1, len(tv) - 5)  # stencil: entries i0+1..i0+4
+        s = pos - i0  # in [1, 2)
         s1, s2, s3 = s - 1, s - 2, s - 3
         w0 = -s1 * s2 * s3 / 6.0
         w1 = s * s2 * s3 / 2.0
         w2 = -s * s1 * s3 / 2.0
         w3 = s * s1 * s2 / 6.0
-        val = w0 * tv[i0] + w1 * tv[i0 + 1] + w2 * tv[i0 + 2] + w3 * tv[i0 + 3]
+        val = w0 * tv[i0 + 1] + w1 * tv[i0 + 2] + w2 * tv[i0 + 3] + w3 * tv[i0 + 4]
         val.imag[(xi_arr if every else xi_arr[alive]) < 0] *= -1  # conjugate
         if every:
             out = val

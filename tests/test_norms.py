@@ -17,6 +17,8 @@ from dispersive_lab.torus import FourierSeries, HarmonicTrajectory, TorusConvent
 
 TP = TorusConvention.TWO_PI
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def free_wave(N, amp=1.0):
     return HarmonicTrajectory(TP, {(N, 0, -float(N) ** 5): amp})

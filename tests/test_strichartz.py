@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dispersive_lab import strichartz
 from dispersive_lab.counting import BudgetExceededError, SystemSpec, count_S
 from dispersive_lab.kernels import curve_sum
 from dispersive_lab.norms import TimeWindow
 from dispersive_lab.strichartz import (
+    SAMPLE_CHUNK,
     CoefficientVector,
     SamplerConfig,
     all_ones,
@@ -21,6 +23,8 @@ from dispersive_lab.strichartz import (
     verify_l4_weighted_bound,
 )
 from dispersive_lab.torus import FourierSeries, HarmonicTrajectory, TorusConvention
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_vec(rng, N, normalize=True):
@@ -142,6 +146,48 @@ def test_level_set_profile_monotone():
     assert prof.monotone_up_to_ci()
 
 
+def _sample_abs_values(vec, d, samples, seed):
+    """|F| on the seeded sample, drawn x then t chunk by chunk."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for done in range(0, samples, SAMPLE_CHUNK):
+        m = min(SAMPLE_CHUNK, samples - done)
+        x = rng.random(m)
+        t = rng.random(m)
+        parts.append(np.abs(curve_sum(vec.a, d, x, t)))
+    return np.concatenate(parts)
+
+
+def test_level_set_profile_one_sample_set_serves_every_level(monkeypatch):
+    # oracle: count |F| > lam level by level on the same seeded points;
+    # levels equal to sampled |F| values check that the count is strict
+    vec, d = all_ones(4), 3
+    samples = 2 * SAMPLE_CHUNK + 1234
+    cfg = SamplerConfig(samples=samples, seed=5)
+    vals = _sample_abs_values(vec, d, samples, cfg.seed)
+    lams = [0.0, 0.4, 1.1, 1.1, 2.0, 3.5, float(vals[7]), float(vals[-1]), float(vals.max())]
+    lams = [float(lam) for lam in np.random.default_rng(1).permutation(lams)]
+    calls = []
+    real_curve_sum = strichartz.curve_sum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_curve_sum(*args, **kwargs)
+
+    monkeypatch.setattr(strichartz, "curve_sum", counted)
+    prof = level_set_profile(vec, d, lams, cfg)
+    assert [e.lam for e in prof.entries] == lams
+    assert [e.hits for e in prof.entries] == [int(np.count_nonzero(vals > lam)) for lam in lams]
+    assert prof.monotone_up_to_ci()
+    for levels in (lams, lams[:1]):
+        calls.clear()
+        level_set_profile(vec, d, levels, cfg)
+        assert len(calls) == math.ceil(samples / SAMPLE_CHUNK)
+    assert level_set_measure(vec, d, lams[3], cfg) == prof.entries[3]
+    with pytest.raises(ValueError, match="nonnegative"):
+        level_set_profile(vec, d, [0.5, -0.1], cfg)
+
+
 def test_l4_bound_single_mode():
     fhat = np.zeros((5, 5), dtype=complex)
     fhat[2 + 1, 2 + 1] = 2.0  # single mode amplitude 2 at (m, n) = (1, 1)
@@ -195,6 +241,10 @@ def test_level_set_inequality_from_kernel_split():
     d, N, eps = 3, 32, 0.05
     rng = np.random.default_rng(21)
     vec = all_ones(N)
+    measures = {}
+    for lam in (1.0, 2.0, 3.5):
+        cfg = SamplerConfig(samples=200_000, seed=int(lam * 10))
+        measures[lam] = level_set_measure(vec, d, lam, cfg).measure_estimate
     for Q in (N**2, 2 * N**2):
         dec = weyl.decompose_kernel(N, d, Q)
         sup1 = 0.0
@@ -208,10 +258,7 @@ def test_level_set_inequality_from_kernel_split():
         c1_hat = sup1 / (N ** (1 - 3 / 4 + eps) * Q**0.25)
         scan = weyl.phi_hat_max_scan(dec.phi, k_limit=2 * N**d)
         c2_hat = scan["max_abs"] / dec.phi_hat0 * Q / N**eps
-        for lam in (1.0, 2.0, 3.5):
-            entry = level_set_measure(vec, d, lam, SamplerConfig(samples=200_000,
-                                                                 seed=int(lam * 10)))
-            e_meas = entry.measure_estimate
+        for lam, e_meas in measures.items():
             lhs = lam**2 * e_meas**2
             rhs = (c1_hat * N ** (1 - 3 / 4 + eps) * Q**0.25 * e_meas**2
                    + c2_hat * N**eps / Q * e_meas)

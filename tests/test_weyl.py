@@ -150,6 +150,10 @@ def test_bump_transform_interpolation_accuracy():
     fast = b.fourier_transform(xi)
     slow = b.fourier_transform_quad(xi)
     assert np.abs(fast - slow).max() < 1e-11 * peak
+    # the first cell's stencil is centred on the mirrored entry at -0.05, so
+    # it is as accurate as every other cell (7.6e-13 of the peak at most)
+    xi0 = np.arange(0.0, 0.05, 1e-3)
+    assert np.abs(b.fourier_transform(xi0) - b.fourier_transform_quad(xi0)).max() < 8e-13 * peak
     # exact conjugate symmetry, and exact zeros past XI_DEAD
     assert np.array_equal(b.fourier_transform(-xi), np.conj(fast))
     dead = np.array([b.XI_DEAD, -b.XI_DEAD, 2 * b.XI_DEAD, -1e9])
