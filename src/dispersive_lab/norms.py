@@ -10,12 +10,9 @@ trajectory equals its plain l^2_n L^2_t size.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, bracket
 
@@ -30,18 +27,8 @@ def h_s_norm(f: FourierSeries, s: float) -> float:
     return math.sqrt(total)
 
 
-def _smooth_step(v: float) -> float:
-    """C-infinity step: 1 for v <= 0, 0 for v >= 1."""
-    if v <= 0.0:
-        return 1.0
-    if v >= 1.0:
-        return 0.0
-    a = math.exp(-1.0 / (1.0 - v))
-    b = math.exp(-1.0 / v)
-    return a / (a + b)
-
-
 def _smooth_step_array(v: np.ndarray) -> np.ndarray:
+    """C-infinity step: 1 for v <= 0, 0 for v >= 1."""
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
     out[v <= 0.0] = 1.0
@@ -63,46 +50,42 @@ class TimeWindow:
         if self.delta <= 0:
             raise ValueError("window length must be positive")
 
-    def psi(self, t: float) -> float:
-        return _smooth_step(abs(t) / self.delta - 1.0)
-
     def psi_array(self, t) -> np.ndarray:
         return _smooth_step_array(np.abs(np.atleast_1d(t)) / self.delta - 1.0)
 
 
-@lru_cache(maxsize=8)
-def _window_nodes(panels: int, order: int = 16):
-    """Composite Gauss-Legendre grid on [-2, 2] with unit-window node values."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-2.0, 2.0, panels + 1)
-    nodes = []
-    weights = []
-    for left, right in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (right - left)
-        nodes.append(0.5 * (left + right) + half * x)
-        weights.append(half * w)
-    u = np.concatenate(nodes)
-    wt = np.concatenate(weights)
-    psi = _smooth_step_array(np.abs(u) - 1.0)
-    return u, wt, psi
+# psi_delta(delta u) is C-infinity with every derivative zero at u = +-2, so the
+# trapezoid rule on its support converges geometrically (Trefethen & Weideman,
+# SIAM Review 56, 2014). Its 512 midpoint nodes u = +-(k + 1/2)/128 alias the
+# transform at mu*delta by the transform at mu*delta +- 256 pi. For j <= 2 that
+# keeps the rule within 1e-14 of the peak while |mu*delta| <= REACH; past REACH
+# the transform is below 1e-10 of the peak and is returned as 0, and lambda
+# integrals stop there.
+REACH = 250.0
+_STEP = 4.0 / 512
+_U = (np.arange(256) + 0.5) * _STEP
+_PSI = _smooth_step_array(_U - 1.0)
+_CHUNK = 2**16 // len(_U)  # mu values per cos/sin matmul, about 2^16 cells
 
 
 def window_transform(window: TimeWindow, j: int, mu) -> np.ndarray:
     """F[t^j psi_delta](mu) = int t^j psi_delta(t) e^{-i mu t} dt, vectorized in mu.
 
-    Computed on a composite Gauss grid after rescaling t = delta*u; the panel
-    count scales with max |mu*delta| so each panel resolves the oscillation.
+    psi is even, so the transform is the cos sum (j even) or -i times the sin
+    sum (j odd) over the positive half of the trapezoid grid; exactly 0 where
+    |mu*delta| > REACH.
     """
-    mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     d = window.delta
-    peak = float(np.max(np.abs(mu_arr))) * d if len(mu_arr) else 0.0
-    panels = 64
-    while panels * 6.0 < peak and panels < 2048:
-        panels *= 2
-    u, wt, psi = _window_nodes(panels)
-    phase = np.exp(-1j * np.outer(mu_arr, u) * d)
-    vals = phase @ (wt * psi * u**j) * d ** (j + 1)
-    return vals if np.ndim(mu) else vals[0]
+    omega = np.asarray(mu, dtype=float).ravel() * d
+    weights = 2.0 * _STEP * _PSI * _U**j * d ** (j + 1)
+    trig = np.sin if j % 2 else np.cos
+    sums = np.zeros(len(omega))
+    live = np.flatnonzero(np.abs(omega) <= REACH)
+    for start in range(0, len(live), _CHUNK):
+        idx = live[start:start + _CHUNK]
+        sums[idx] = trig(np.outer(omega[idx], _U)) @ weights
+    vals = -1j * sums if j % 2 else sums.astype(complex)
+    return vals.reshape(np.shape(mu)) if np.ndim(mu) else vals[0]
 
 
 MAX_EXACT_MODE = 1552  # 1552^5 < 2^53 <= 1553^5
@@ -130,50 +113,62 @@ def _mode_groups(u: HarmonicTrajectory):
     return groups
 
 
-def _mode_transform(terms, lam_grid: np.ndarray, window: TimeWindow) -> np.ndarray:
-    """u_hat(n, lambda) of the windowed mode profile sum_k c_k t^{j_k} e^{i lam_k t}."""
-    out = np.zeros(len(lam_grid), dtype=complex)
-    for j, lam0, c in terms:
-        out += c * window_transform(window, j, lam_grid - lam0)
-    return out
+class QuadratureNotConverged(RuntimeError):
+    """The lambda-quadrature would need more than _MAX_PANELS active panels."""
 
 
-def _integration_interval(terms, window: TimeWindow, rel_floor: float):
-    """Lambda interval holding all window bumps down to rel_floor of their peak."""
-    # the window transform decays like exp(-c sqrt(|mu| delta)); mu*delta ~ 250
-    # is below 1e-12 relative for the canonical bump
-    reach = 250.0 / window.delta
-    centers = [lam for (_, lam, _) in terms]
-    return min(centers) - reach, max(centers) + reach, sorted(set(centers))
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+_MAX_PANELS = 4096  # halves per bisection round; at the cap a complex node array is 1 MB
 
 
-def _quad_mode(f, lo: float, hi: float, points, rtol: float, limit: int = 400):
-    # absolute-value integrands kink at transform zeros and bottom out near
-    # quad's roundoff floor; the returned error estimate carries that floor
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(
-            f,
-            lo,
-            hi,
-            points=[p for p in points if lo < p < hi],
-            epsrel=rtol,
-            epsabs=0.0,
-            limit=limit,
-        )
-    return val, err
+def _mode_integrals(n, terms, window: TimeWindow, rtol: float, powers):
+    """(1/2pi) int |u_hat(n, lambda)|^q <lambda + n^5>^e d lambda for each (q, e) in powers.
 
-
-def _xsb_mode_integral(n, terms, s, b, window, rtol):
-    weight_s = bracket(n) ** (2.0 * s)
+    u_hat(n, .) is the transform of the windowed mode profile
+    sum_k c_k t^{j_k} e^{i lam_k t}; it is below 1e-10 of its peak past REACH/delta
+    from every centre lam_k. That interval is cut at the centres and at -n^5 into
+    16-point Gauss panels, which are bisected in rounds: a panel is accepted once
+    its halves agree with it to rtol * (running total) * (its share of the
+    interval), for every power. Returns the values and the summed disagreements
+    of the accepted panels as error estimates. Raises QuadratureNotConverged
+    rather than bisect past _MAX_PANELS.
+    """
     disp = dispersion(n)
+    reach = REACH / window.delta
+    centres = [lam for _, lam, _ in terms]
+    lo, hi = min(centres) - reach, max(centres) + reach
+    edges = np.unique([lo, hi, *centres, *([-disp] if lo < -disp < hi else [])])
+    span = hi - lo
 
-    def integrand(lam):
-        amp = _mode_transform(terms, np.array([lam]), window)[0]
-        return weight_s * bracket(lam + disp) ** (2.0 * b) * abs(amp) ** 2 / TWO_PI
+    def panel_sums(a, b):
+        half = 0.5 * (b - a)
+        lam = (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_X
+        amp = sum(c * window_transform(window, j, lam - lam0) for j, lam0, c in terms)
+        weight = 1.0 + np.abs(lam + disp)
+        return np.stack([(np.abs(amp) ** q * weight**e) @ _GAUSS_W * half for q, e in powers])
 
-    lo, hi, centers = _integration_interval(terms, window, rtol)
-    return _quad_mode(integrand, lo, hi, centers, rtol)
+    a, b = edges[:-1], edges[1:]
+    parent = panel_sums(a, b)
+    value = np.zeros(len(powers))
+    error = np.zeros(len(powers))
+    while len(a):
+        if 2 * len(a) > _MAX_PANELS:
+            raise QuadratureNotConverged(
+                f"mode {n}: {2 * len(a)} panels needed for rtol={rtol:g}, "
+                f"more than {_MAX_PANELS}")
+        mid = 0.5 * (a + b)
+        halves = panel_sums(np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = halves[:, :len(a)], halves[:, len(a):]
+        kids = left + right
+        gap = np.abs(kids - parent)
+        total = np.abs(value + kids.sum(axis=1))
+        done = np.all(gap <= rtol * total[:, None] * ((b - a) / span), axis=0)
+        value += kids[:, done].sum(axis=1)
+        error += gap[:, done].sum(axis=1)
+        keep = ~done
+        a, b = np.concatenate([a[keep], mid[keep]]), np.concatenate([mid[keep], b[keep]])
+        parent = np.concatenate([left[:, keep], right[:, keep]], axis=1)
+    return (value / TWO_PI).tolist(), (error / TWO_PI).tolist()
 
 
 def xsb_norm(u: HarmonicTrajectory, s: float, b: float, window: TimeWindow,
@@ -194,38 +189,35 @@ def xsb_norm_with_error(u: HarmonicTrajectory, s: float, b: float, window: TimeW
     total = 0.0
     err_total = 0.0
     for n, terms in _mode_groups(u).items():
-        val, err = _xsb_mode_integral(n, terms, s, b, window, rtol)
-        total += val
-        err_total += err
+        (val,), (err,) = _mode_integrals(n, terms, window, rtol, [(2, 2.0 * b)])
+        weight_s = bracket(n) ** (2.0 * s)
+        total += weight_s * val
+        err_total += weight_s * err
     norm = math.sqrt(total)
     err_norm = 0.5 * err_total / norm if norm > 0 else math.sqrt(err_total)
     return norm, err_norm
 
 
-def _l1_mode_integral(n, terms, s, window, rtol, disp_weight=0.0):
-    """(1/2pi) int |u_hat(n, lambda)| <lambda+n^5>^{-disp_weight} d lambda."""
-    disp = dispersion(n)
+def _l2_plus_l1(u: HarmonicTrajectory, s: float, window: TimeWindow, rtol: float,
+                e2: float, e1: float) -> float:
+    """(sum_n <n>^{2s} I_n(2, e2))^{1/2} + (sum_n <n>^{2s} I_n(1, e1)^2)^{1/2}.
 
-    def integrand(lam):
-        amp = _mode_transform(terms, np.array([lam]), window)[0]
-        w = bracket(lam + disp) ** (-disp_weight) if disp_weight else 1.0
-        return abs(amp) * w / TWO_PI
-
-    lo, hi, centers = _integration_interval(terms, window, rtol)
-    # absolute values kink at the transform zeros; give quad extra room
-    val, err = _quad_mode(integrand, lo, hi, centers, rtol, limit=2000)
-    return val, err
+    I_n(q, e) is the mode integral of |u_hat|^q <lambda + n^5>^e.
+    """
+    sq = 0.0
+    l1 = 0.0
+    for n, terms in _mode_groups(u).items():
+        (v2, v1), _ = _mode_integrals(n, terms, window, rtol, [(2, e2), (1, e1)])
+        weight_s = bracket(n) ** (2.0 * s)
+        sq += weight_s * v2
+        l1 += weight_s * v1**2
+    return math.sqrt(sq) + math.sqrt(l1)
 
 
 def y_s_norm(u: HarmonicTrajectory, s: float, window: TimeWindow,
              rtol: float = 1e-8) -> float:
     """X_{s,1/2} plus the l^2_n-of-L^1_lambda correction term."""
-    base = xsb_norm(u, s, 0.5, window, rtol)
-    total = 0.0
-    for n, terms in _mode_groups(u).items():
-        val, _ = _l1_mode_integral(n, terms, s, window, rtol)
-        total += bracket(n) ** (2.0 * s) * val**2
-    return base + math.sqrt(total)
+    return _l2_plus_l1(u, s, window, rtol, 1.0, 0.0)
 
 
 def duhamel_forcing_bound(w: HarmonicTrajectory, s: float, window: TimeWindow,
@@ -237,19 +229,4 @@ def duhamel_forcing_bound(w: HarmonicTrajectory, s: float, window: TimeWindow,
     windowed harmonic sums have rapidly decaying time transforms; this
     bypasses xsb_norm's contract, which rejects b <= -1/2 for general data.
     """
-    sq = 0.0
-    l1 = 0.0
-    for n, terms in _mode_groups(w).items():
-        weight_s = bracket(n) ** (2.0 * s)
-        disp = dispersion(n)
-
-        def integrand(lam, terms=terms, weight_s=weight_s, disp=disp):
-            amp = _mode_transform(terms, np.array([lam]), window)[0]
-            return weight_s * abs(amp) ** 2 / bracket(lam + disp) / TWO_PI
-
-        lo, hi, centers = _integration_interval(terms, window, rtol)
-        val, _ = _quad_mode(integrand, lo, hi, centers, rtol, limit=2000)
-        sq += val
-        l1_val, _ = _l1_mode_integral(n, terms, s, window, rtol, disp_weight=1.0)
-        l1 += weight_s * l1_val**2
-    return math.sqrt(sq) + math.sqrt(l1)
+    return _l2_plus_l1(w, s, window, rtol, -1.0, -1.0)

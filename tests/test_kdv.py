@@ -26,8 +26,6 @@ from dispersive_lab.kdv import _array_nonlinear
 from dispersive_lab.norms import dispersion, h_s_norm
 from dispersive_lab.torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 TP = TorusConvention.TWO_PI
 
 

