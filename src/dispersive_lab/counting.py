@@ -26,6 +26,8 @@ from itertools import islice
 
 import numpy as np
 
+from .kernels import sum_by_key
+
 DEFAULT_MEM_BUDGET = 1_600_000_000  # bytes of table memory per operation
 DEFAULT_SIEVE_LIMIT = 1_000_000
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -211,17 +213,6 @@ def _dense_levels(spec: SystemSpec, weights=None):
         yield table
 
 
-def _sparse_reduce(keys, vals):
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = vals[order]
-    boundaries = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate(([0], boundaries))
-    uniq = keys[starts]
-    summed = np.add.reduceat(vals, starts)
-    return uniq, summed
-
-
 def _build_sparse(spec: SystemSpec, weights, budget: int):
     d, N = spec.d, spec.N
     stride = 2 * spec.b_extent + 1
@@ -229,7 +220,7 @@ def _build_sparse(spec: SystemSpec, weights, budget: int):
     base = (np.int64(spec.a_extent) * stride + spec.b_extent)
     if weights is None:
         weights = np.ones(len(delta_keys), dtype=np.int64)
-    keys, vals = _sparse_reduce(delta_keys + base, weights.copy())
+    (keys,), vals = sum_by_key((delta_keys + base,), weights)
     itemsize = 8 + vals.itemsize
     for _ in range(spec.b - 1):
         if len(keys) * len(delta_keys) * itemsize > budget:
@@ -239,8 +230,8 @@ def _build_sparse(spec: SystemSpec, weights, budget: int):
                 f"try N <= {suggestion}",
                 suggested_n=suggestion,
             )
-        keys, vals = _sparse_reduce((keys[:, None] + delta_keys[None, :]).ravel(),
-                                    (vals[:, None] * weights[None, :]).ravel())
+        (keys,), vals = sum_by_key(((keys[:, None] + delta_keys[None, :]).ravel(),),
+                                   (vals[:, None] * weights[None, :]).ravel())
     return keys, vals
 
 

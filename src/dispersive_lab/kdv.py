@@ -25,7 +25,6 @@ from .torus import (
     FourierSeries,
     HarmonicTrajectory,
     TorusConvention,
-    mirror_completed,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -134,25 +133,18 @@ def _poly_exp_antiderivative(j: int, mu: float, horizon: float):
     if abs(mu) * horizon < 1e-6 or abs(mu) < RESONANCE_TOL:
         out = {}
         coef = 1.0 + 0j
-        p = 0
-        while True:
+        for p in range(41):
             val = coef / (j + p + 1)
-            out[(j + p + 1, 0.0)] = out.get((j + p + 1, 0.0), 0j) + val
+            out[(j + p + 1, 0.0)] = val
             if abs(val) * horizon ** (j + p + 1) < 1e-18 * max(horizon**j, 1e-30) and p >= 2:
                 break
-            p += 1
-            coef *= 1j * mu / p
-            if p > 40:
-                break
+            coef *= 1j * mu / (p + 1)
         return out
     # recursion I_j = (t^j e^{i mu t} - j I_{j-1}) / (i mu)
     inv = 1.0 / (1j * mu)
     cur = {(0, mu): inv, (0, 0.0): -inv}
     for jj in range(1, j + 1):
-        nxt = {(jj, mu): inv}
-        for key, c in cur.items():
-            nxt[key] = nxt.get(key, 0j) - jj * inv * c
-        cur = nxt
+        cur = {(jj, mu): inv, **{key: -jj * inv * c for key, c in cur.items()}}
     return cur
 
 
@@ -166,19 +158,16 @@ def duhamel(w: HarmonicTrajectory, horizon: float = 1.0) -> HarmonicTrajectory:
     ``torus``).
     """
     real = w.is_real_symmetric()
-    out: dict = {}
-    for (n, j, lam), c in w.terms.items():
+    rows = []
+    for n, j, lam, c in w.rows():
         if real and n < 0:
-            continue
+            continue  # the canonical-key rule fills in the conjugates
         disp = dispersion(n)
-        parts = _poly_exp_antiderivative(j, lam + disp, horizon)
-        for (p, freq), val in parts.items():
+        for (p, freq), val in _poly_exp_antiderivative(j, lam + disp, horizon).items():
             # e^{-i n^5 t} * t^p e^{i freq t}: freq = mu gives back e^{i lam t}
-            key = (n, p, freq - disp)
-            if real and n == 0 and key[2] < 0.0:
-                continue
-            out[key] = out.get(key, 0j) - c * val
-    return HarmonicTrajectory(w.convention, mirror_completed(out) if real else out)
+            rows.append((n, p, freq - disp, -c * val))
+    n, p, lam, c = zip(*rows) if rows else ((),) * 4
+    return HarmonicTrajectory.from_columns(w.convention, n, p, lam, c, real)
 
 
 def first_iterate(phi: FourierSeries, spec: NonlinearitySpec,

@@ -1,4 +1,5 @@
-"""The curve-sum kernel, the hot loop of Monte Carlo level-set scans."""
+"""Numeric kernels: the curve sum, the hot loop of Monte Carlo level-set scans,
+and the sort-and-sum reducer behind signature tables and harmonic trajectories."""
 
 from __future__ import annotations
 
@@ -36,3 +37,22 @@ def curve_sum(coeff, d: int, x, t, scale: float = 2.0 * np.pi) -> np.ndarray:
         out_re += cr * cos_p - ci * sin_p
         out_im += cr * sin_p + ci * cos_p
     return out_re + 1j * out_im
+
+
+def sum_by_key(key_columns, vals):
+    """Merge rows with equal keys: (sorted unique key columns, summed values).
+
+    Rows are sorted lexicographically, first column first, and equal keys are
+    summed in input order (the sort is stable). Keys compare by value, so
+    float keys -0.0 and 0.0 merge; every key is returned with +0.0.
+    """
+    order = np.lexsort(key_columns[::-1])
+    vals = vals[order]
+    keys = [col[order] for col in key_columns]
+    del order, key_columns  # a caller's temporary inputs are freed here, not on return
+    new = np.zeros(len(vals), dtype=bool)
+    new[:1] = True
+    for col in keys:
+        new[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(new)
+    return [col[starts] + 0 for col in keys], np.add.reduceat(vals, starts)

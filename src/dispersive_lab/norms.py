@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -106,13 +108,6 @@ def dispersion(n):
     return n.astype(float) ** 5 if array else float(n) ** 5
 
 
-def _mode_groups(u: HarmonicTrajectory):
-    groups: dict = {}
-    for (n, j, lam), c in u.terms.items():
-        groups.setdefault(n, []).append((j, lam, c))
-    return groups
-
-
 class QuadratureNotConverged(RuntimeError):
     """The lambda-quadrature would need more than _MAX_PANELS active panels."""
 
@@ -188,7 +183,8 @@ def xsb_norm_with_error(u: HarmonicTrajectory, s: float, b: float, window: TimeW
         raise ValueError("divergent weight: b must exceed -1/2")
     total = 0.0
     err_total = 0.0
-    for n, terms in _mode_groups(u).items():
+    for n, rows in groupby(u.rows(), itemgetter(0)):
+        terms = [row[1:] for row in rows]
         (val,), (err,) = _mode_integrals(n, terms, window, rtol, [(2, 2.0 * b)])
         weight_s = bracket(n) ** (2.0 * s)
         total += weight_s * val
@@ -206,7 +202,8 @@ def _l2_plus_l1(u: HarmonicTrajectory, s: float, window: TimeWindow, rtol: float
     """
     sq = 0.0
     l1 = 0.0
-    for n, terms in _mode_groups(u).items():
+    for n, rows in groupby(u.rows(), itemgetter(0)):
+        terms = [row[1:] for row in rows]
         (v2, v1), _ = _mode_integrals(n, terms, window, rtol, [(2, e2), (1, e1)])
         weight_s = bracket(n) ** (2.0 * s)
         sq += weight_s * v2

@@ -366,7 +366,7 @@ def verify_l4_weighted_bound(fhat: np.ndarray, d: int):
 def _trajectory_values(u: HarmonicTrajectory, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     w = u.convention.wavenumber_factor
     out = np.zeros(len(x), dtype=np.complex128)
-    for (n, j, lam), c in u.terms.items():
+    for n, j, lam, c in u.rows():
         out += c * t**j * np.exp(1j * (w * n * x + lam * t))
     return out
 

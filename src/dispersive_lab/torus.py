@@ -8,7 +8,12 @@ Two normalizations coexist in the lab and are never mixed implicitly:
 
 ``FourierSeries`` is a band-limited spatial slice; ``HarmonicTrajectory``
 is a finite sum of terms c * e^{inx} * t^j * e^{i lambda t}, which is
-closed under products, x-derivatives and exact Duhamel integration.
+closed under products, x-derivatives and exact Duhamel integration. A
+trajectory holds its terms as four columns (n, j, lambda, c) sorted by the
+key (n, j, lambda). Every operation builds its output rows as columns and
+hands them to the one sort-and-sum reducer, ``kernels.sum_by_key``, which
+merges equal keys in a fixed order: a result does not depend on the order
+in which its inputs were built.
 
 Real data stays exactly real by one rule. When every input is exactly
 conjugate-symmetric (``is_real_symmetric()``), an operation computes only
@@ -27,8 +32,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
+
+from .kernels import sum_by_key
 
 DEFAULT_BAND_CAP = 4096
 _LAMBDA_LIMIT = 2.0 ** 53  # float64 holds every integer below it exactly
@@ -70,23 +79,6 @@ def _check_same_convention(a, b):
         )
 
 
-def mirror_completed(half: dict) -> dict:
-    """Full result of a real-symmetric operation from its canonical keys.
-
-    ``half`` holds only keys (n, j, lambda) with (n, lambda) >= (0, 0); each
-    mirror key gets the conjugate and a self-mirrored key its real part, so
-    the result is exactly conjugate-symmetric.
-    """
-    out = {}
-    for (n, j, lam), c in half.items():
-        if n == 0 and lam == 0.0:
-            out[(n, j, lam)] = complex(c.real)
-        else:
-            out[(n, j, lam)] = c
-            out[(-n, j, -lam)] = c.conjugate()
-    return out
-
-
 @dataclass(frozen=True)
 class FourierSeries:
     """Band-limited periodic function given by complex coefficients on [-band, band]."""
@@ -108,11 +100,9 @@ class FourierSeries:
         return self.coeff.get(n, 0j)
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        _check_same_convention(self, other)
-        out = dict(self.coeff)
-        for n, c in other.coeff.items():
-            out[n] = out.get(n, 0j) + c
-        return FourierSeries(self.convention, out)
+        """The trajectory sum at t = 0."""
+        return (HarmonicTrajectory.from_series(self) + HarmonicTrajectory.from_series(other)
+                ).at_time(0.0)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + other.scaled(-1.0)
@@ -143,12 +133,9 @@ class FourierSeries:
     def l2_norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeff.values()))
 
-    def is_real_symmetric(self, tol: float = 0.0) -> bool:
-        """True iff coeff(-n) == conj(coeff(n)) within tol (0 means exact)."""
-        for n, c in self.coeff.items():
-            if abs(self.coeff.get(-n, 0j) - c.conjugate()) > tol:
-                return False
-        return True
+    def is_real_symmetric(self) -> bool:
+        """True iff coeff(-n) == conj(coeff(n)) exactly."""
+        return HarmonicTrajectory.from_series(self).is_real_symmetric()
 
     def to_json(self) -> str:
         records = [
@@ -165,11 +152,12 @@ class FourierSeries:
         return FourierSeries(conv, coeff)
 
 
-@dataclass(frozen=True)
 class HarmonicTrajectory:
     """Finite sum of terms c * e^{i w n x} * t^j * e^{i lambda t}.
 
-    Terms are stored merged on the key (n, j, lambda); j > 0 only arises from
+    Terms are four columns ``n``, ``j`` (int64), ``lam`` (float64) and ``c``
+    (complex128), sorted by the key (n, j, lambda), with equal keys merged by
+    ``sum_by_key`` and zero amplitudes dropped; j > 0 only arises from
     resonant Duhamel integration. A term with |lambda| >= 2^53 raises
     ``BandCapExceeded``: below that bound every integer is a float64, and
     since rounding is monotone an integer combination of exact frequencies
@@ -177,89 +165,107 @@ class HarmonicTrajectory:
     it. Dispersion frequencies n^5 are exact for |n| <= 1552.
     """
 
-    convention: TorusConvention
-    terms: dict = field(default_factory=dict)  # (n, j, lam) -> complex amplitude
+    def __init__(self, convention: TorusConvention, terms: dict | None = None):
+        """Sum of ``terms``, a map (n, j, lambda) -> complex amplitude."""
+        terms = terms or {}
+        n, j, lam = zip(*terms) if terms else ((), (), ())
+        self._assign(convention, n, j, lam, list(terms.values()))
 
-    def __post_init__(self):
-        clean = {}
-        for (n, j, lam), c in self.terms.items():
-            c = complex(c)
-            if c != 0:
-                lam = float(lam)
-                if abs(lam) >= _LAMBDA_LIMIT:
-                    raise BandCapExceeded(
-                        f"frequency {lam:.17g} of mode {n} is not below 2^53, "
-                        "where float64 stops holding integers exactly")
-                clean[(int(n), int(j), lam)] = c
-        object.__setattr__(self, "terms", clean)
+    @classmethod
+    def from_columns(cls, convention, n, j, lam, c, real: bool = False) -> "HarmonicTrajectory":
+        """Sum of the rows (n, j, lam, c); ``real`` applies the canonical-key
+        rule of the module docstring."""
+        out = cls.__new__(cls)
+        out._assign(convention, n, j, lam, c, real)
+        return out
+
+    def _assign(self, convention, n, j, lam, c, real=False):
+        n, j = np.asarray(n, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        lam, c = np.asarray(lam, dtype=float), np.asarray(c, dtype=complex)
+        if real:
+            canonical = (n > 0) | ((n == 0) & (lam >= 0.0))
+            (n, j, lam), c = sum_by_key((n[canonical], j[canonical], lam[canonical]),
+                                        c[canonical])
+            own = (n == 0) & (lam == 0.0)
+            c = np.where(own, c.real, c)
+            n, j, lam, c = (np.concatenate((col, other[~own])) for col, other in
+                            ((n, -n), (j, j), (lam, -lam), (c, np.conj(c))))
+        (n, j, lam), c = sum_by_key((n, j, lam), c)
+        kept = c != 0
+        big = np.flatnonzero(kept & (np.abs(lam) >= _LAMBDA_LIMIT))
+        if len(big):
+            raise BandCapExceeded(
+                f"frequency {lam[big[0]]:.17g} of mode {n[big[0]]} is not below 2^53, "
+                "where float64 stops holding integers exactly")
+        self.convention = convention
+        self.n, self.j, self.lam, self.c = n[kept], j[kept], lam[kept], c[kept]
 
     @staticmethod
     def from_series(f: FourierSeries) -> "HarmonicTrajectory":
         return HarmonicTrajectory(f.convention, {(n, 0, 0.0): c for n, c in f.coeff.items()})
 
     @property
+    def columns(self) -> tuple:
+        return self.n, self.j, self.lam, self.c
+
+    def rows(self):
+        """The terms as (n, j, lambda, c) tuples of Python numbers, in key order."""
+        return zip(*(col.tolist() for col in self.columns))
+
+    @cached_property
+    def terms(self) -> MappingProxyType:
+        """Read-only map (n, j, lambda) -> amplitude, in key order."""
+        return MappingProxyType({(n, j, lam): c for n, j, lam, c in self.rows()})
+
+    @property
     def band(self) -> int:
-        return max((abs(n) for (n, _, _) in self.terms), default=0)
+        return int(np.abs(self.n).max(initial=0))
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.c)
 
     def __add__(self, other: "HarmonicTrajectory") -> "HarmonicTrajectory":
         _check_same_convention(self, other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0j) + c
-        return HarmonicTrajectory(self.convention, out)
+        return HarmonicTrajectory.from_columns(
+            self.convention, *(np.concatenate(pair) for pair in zip(self.columns, other.columns)))
 
     def __sub__(self, other: "HarmonicTrajectory") -> "HarmonicTrajectory":
         return self + other.scaled(-1.0)
 
     def scaled(self, alpha: complex) -> "HarmonicTrajectory":
-        return HarmonicTrajectory(self.convention, {k: alpha * c for k, c in self.terms.items()})
+        return HarmonicTrajectory.from_columns(self.convention, self.n, self.j, self.lam,
+                                               alpha * self.c)
 
     def product(self, other: "HarmonicTrajectory", band_cap: int = DEFAULT_BAND_CAP) -> "HarmonicTrajectory":
-        """Exact product; real-symmetric factors give an exactly real-symmetric
-        product (the canonical-key rule of the module docstring)."""
+        """Exact product: every pair of terms, summed by key. Real-symmetric
+        factors give an exactly real-symmetric product (the canonical-key
+        rule of the module docstring)."""
         _check_same_convention(self, other)
         if self.band + other.band > band_cap:
             raise BandCapExceeded(
                 f"product band {self.band + other.band} exceeds cap {band_cap}"
             )
         real = self.is_real_symmetric() and other.is_real_symmetric()
-        out: dict = {}
-        for (n1, j1, l1), c1 in self.terms.items():
-            for (n2, j2, l2), c2 in other.terms.items():
-                n, lam = n1 + n2, l1 + l2
-                if real and (n < 0 or (n == 0 and lam < 0.0)):
-                    continue
-                key = (n, j1 + j2, lam)
-                out[key] = out.get(key, 0j) + c1 * c2
-        return HarmonicTrajectory(self.convention, mirror_completed(out) if real else out)
+        return HarmonicTrajectory.from_columns(
+            self.convention, np.add.outer(self.n, other.n).ravel(),
+            np.add.outer(self.j, other.j).ravel(), np.add.outer(self.lam, other.lam).ravel(),
+            np.multiply.outer(self.c, other.c).ravel(), real)
 
     def x_derivative(self) -> "HarmonicTrajectory":
-        w = self.convention.wavenumber_factor
-        return HarmonicTrajectory(
-            self.convention,
-            {(n, j, lam): 1j * w * n * c for (n, j, lam), c in self.terms.items()},
-        )
+        return self.x_derivative_power(1)
 
     def x_derivative_power(self, order: int) -> "HarmonicTrajectory":
         w = self.convention.wavenumber_factor
-        return HarmonicTrajectory(
-            self.convention,
-            {(n, j, lam): (1j * w * n) ** order * c for (n, j, lam), c in self.terms.items()},
-        )
+        return HarmonicTrajectory.from_columns(self.convention, self.n, self.j, self.lam,
+                                               (1j * w * self.n) ** order * self.c)
 
     def t_derivative(self) -> "HarmonicTrajectory":
         """Exact d/dt: t^j e^{i lam t} -> j t^{j-1} e^{i lam t} + i lam t^j e^{i lam t}."""
-        out: dict = {}
-        for (n, j, lam), c in self.terms.items():
-            if j > 0:
-                key = (n, j - 1, lam)
-                out[key] = out.get(key, 0j) + j * c
-            key = (n, j, lam)
-            out[key] = out.get(key, 0j) + 1j * lam * c
-        return HarmonicTrajectory(self.convention, out)
+        s = self.j > 0
+        return HarmonicTrajectory.from_columns(
+            self.convention, np.concatenate((self.n, self.n[s])),
+            np.concatenate((self.j, self.j[s] - 1)), np.concatenate((self.lam, self.lam[s])),
+            np.concatenate((1j * self.lam * self.c, self.j[s] * self.c[s])))
 
     def coefficients(self, times, band: int) -> np.ndarray:
         """Mode coefficients at each time: array[n + band, m] at times[m], |n| <= band.
@@ -272,17 +278,15 @@ class HarmonicTrajectory:
         times = np.asarray(times, dtype=float)
         out = np.zeros((2 * band + 1, len(times)), dtype=np.complex128)
         real = self.is_real_symmetric()
-        keys = sorted(k for k in self.terms if (0 if real else -band) <= k[0] <= band)
-        if keys:
-            n, j, lam = (np.array(col) for col in zip(*keys))
-            c = np.array([self.terms[k] for k in keys])
-            step = max(1, _BLOCK_CELLS // max(len(times), 1))
-            for lo in range(0, len(keys), step):
-                blk = slice(lo, lo + step)
-                vals = (c[blk, None] * times ** j[blk, None]
-                        * np.exp(1j * lam[blk, None] * times))
-                rows, starts = np.unique(n[blk], return_index=True)
-                out[rows + band] += np.add.reduceat(vals, starts, axis=0)
+        sel = ((0 if real else -band) <= self.n) & (self.n <= band)
+        n, j, lam, c = (col[sel] for col in self.columns)
+        step = max(1, _BLOCK_CELLS // max(len(times), 1))
+        for lo in range(0, len(c), step):
+            blk = slice(lo, lo + step)
+            vals = (c[blk, None] * times ** j[blk, None]
+                    * np.exp(1j * lam[blk, None] * times))
+            (rows,), sums = sum_by_key((n[blk],), vals)
+            out[rows + band] += sums
         if real:
             out[:band] = np.conj(out[:band:-1])
             out[band] = out[band].real
@@ -295,26 +299,27 @@ class HarmonicTrajectory:
         return FourierSeries(self.convention, dict(zip(range(-band, band + 1), column)))
 
     def zero_mode_terms(self) -> "HarmonicTrajectory":
-        return HarmonicTrajectory(
-            self.convention, {k: c for k, c in self.terms.items() if k[0] == 0}
-        )
+        return self.truncated(0)[0]
 
     def truncated(self, band: int) -> tuple["HarmonicTrajectory", float]:
-        kept = {k: c for k, c in self.terms.items() if abs(k[0]) <= band}
-        dropped = math.sqrt(sum(abs(c) ** 2 for k, c in self.terms.items() if abs(k[0]) > band))
-        return HarmonicTrajectory(self.convention, kept), dropped
+        kept = np.abs(self.n) <= band
+        dropped = float(np.sqrt(np.sum(np.abs(self.c[~kept]) ** 2)))
+        return HarmonicTrajectory.from_columns(
+            self.convention, *(col[kept] for col in self.columns)), dropped
 
-    def is_real_symmetric(self, tol: float = 0.0) -> bool:
-        for (n, j, lam), c in self.terms.items():
-            mirror = self.terms.get((-n, j, -lam), 0j)
-            if abs(mirror - c.conjugate()) > tol:
-                return False
-        return True
+    def is_real_symmetric(self) -> bool:
+        """True iff every key (n, j, lambda) has its mirror (-n, j, -lambda)
+        with exactly the conjugate amplitude."""
+        mirror = np.lexsort((-self.lam, self.j, -self.n))
+        return (np.array_equal(self.n, -self.n[mirror])
+                and np.array_equal(self.j, self.j[mirror])
+                and np.array_equal(self.lam, -self.lam[mirror])
+                and np.array_equal(self.c, np.conj(self.c[mirror])))
 
     def to_json(self) -> str:
         records = [
             {"n": n, "j": j, "lam": lam, "re": c.real, "im": c.imag}
-            for (n, j, lam), c in sorted(self.terms.items())
+            for n, j, lam, c in self.rows()
         ]
         return json.dumps({"convention": self.convention.value, "terms": records})
 
@@ -322,8 +327,5 @@ class HarmonicTrajectory:
     def from_json(text: str) -> "HarmonicTrajectory":
         data = json.loads(text)
         conv = TorusConvention(data["convention"])
-        terms = {
-            (int(r["n"]), int(r["j"]), float(r["lam"])): complex(r["re"], r["im"])
-            for r in data["terms"]
-        }
-        return HarmonicTrajectory(conv, terms)
+        return HarmonicTrajectory(conv, {(r["n"], r["j"], r["lam"]): complex(r["re"], r["im"])
+                                         for r in data["terms"]})

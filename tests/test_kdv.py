@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -90,6 +91,14 @@ def test_flow_isometry():
     for s in (0.0, 0.7, 2.0):
         assert h_s_norm(linear_flow(phi, 0.83), s) == pytest.approx(
             h_s_norm(phi, s), rel=1e-12)
+
+
+def test_zero_mode_frequency_is_positive_zero():
+    # -dispersion(0) is -0.0; the stored key and the JSON record hold +0.0
+    u = flow_trajectory(FourierSeries(TP, {0: 1.0, 1: 0.5, -1: 0.5}))
+    records = json.loads(u.to_json())["terms"]
+    assert [math.copysign(1.0, r["lam"]) for r in records if r["n"] == 0] == [1.0]
+    assert '"lam": -0.0' not in u.to_json()
 
 
 def test_flow_frequencies_exact_up_to_1552():
@@ -220,7 +229,7 @@ def test_duhamel_real_forcing_matches_termwise_sum():
     w = HarmonicTrajectory(TP, terms)
     assert w.is_real_symmetric()
     got = duhamel(w, horizon=2.0)
-    assert got.is_real_symmetric(tol=0.0)
+    assert got.is_real_symmetric()
     want = HarmonicTrajectory(TP, {})
     for key, c in w.terms.items():
         want = want + duhamel(HarmonicTrajectory(TP, {key: c}), horizon=2.0)
@@ -354,7 +363,7 @@ def test_picard_reality_preserved():
     for st in states:
         traj = st.trajectory
         if isinstance(traj, HarmonicTrajectory):
-            assert traj.is_real_symmetric(tol=0.0)
+            assert traj.is_real_symmetric()
 
 
 def test_picard_p2_contracts():

@@ -169,7 +169,7 @@ def test_real_trajectory_evaluates_exactly_symmetric():
         coeffs = u.coefficients(times, 5)
         assert np.array_equal(coeffs[::-1], np.conj(coeffs))
         for t in times:
-            assert u.at_time(t).is_real_symmetric(tol=0.0)
+            assert u.at_time(t).is_real_symmetric()
 
 
 def test_real_product_matches_brute_force():
@@ -177,7 +177,7 @@ def test_real_product_matches_brute_force():
     for _ in range(10):
         u, v = random_real_trajectory(rng), random_real_trajectory(rng)
         got = u.product(v)
-        assert got.is_real_symmetric(tol=0.0)
+        assert got.is_real_symmetric()
         want = brute_product(u, v)
         scale = max(abs(c) for c in want.values())
         for key in set(got.terms) | set(want):
@@ -195,6 +195,24 @@ def test_real_times_nonreal_product_sums_in_full():
         assert set(got.terms) == {k for k, c in want.items() if c != 0}
         for key, c in want.items():
             assert abs(got.terms.get(key, 0j) - c) <= 1e-15 * abs(c)
+
+
+def test_product_does_not_depend_on_insertion_order():
+    rng = np.random.default_rng(3)
+    terms = {}
+    for _ in range(60):
+        key = (int(rng.integers(0, 5)), 0, float(rng.integers(-20, 20)))
+        c = complex(*rng.standard_normal(2))
+        if key[0] == 0 and key[2] == 0.0:
+            c = complex(c.real)
+        terms[key] = c
+        terms[(-key[0], 0, -key[2])] = c.conjugate()
+    items = sorted(terms.items())
+    shuffled = [items[i] for i in rng.permutation(len(items))]
+    u = HarmonicTrajectory(TWO_PI, dict(items))
+    v = HarmonicTrajectory(TWO_PI, dict(shuffled))
+    assert u.is_real_symmetric() and v.is_real_symmetric()
+    assert u.product(u).to_json() == v.product(v).to_json()
 
 
 def test_frequency_guard_at_2_pow_53():
