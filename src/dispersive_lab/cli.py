@@ -36,6 +36,13 @@ def _parse_int_list(text: str):
     return vals
 
 
+def _parse_bool(text) -> bool:
+    v = str(text).lower()
+    if v not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError("expected 1/0, true/false or yes/no")
+    return v in ("1", "true", "yes")
+
+
 def _fmt_float(v) -> str:
     return f"{float(v):.12g}"
 
@@ -44,13 +51,8 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, float):
-                    cells.append(_fmt_float(v))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(_fmt_float(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def _fit_slope(xs, ys):
@@ -125,6 +127,8 @@ def _run_strichartz(cfg, out):
 
 
 def _run_levelset(cfg, out):
+    if len(cfg["N"]) != 1:
+        raise ConfigError(f"levelset takes one N, got {cfg['N']}")
     d, N = cfg["d"], cfg["N"][0]
     sampler = strichartz.SamplerConfig(samples=cfg["samples"], seed=cfg["seed"])
     verify = {"curve": strichartz.verify_curve_levelset_decay,
@@ -279,13 +283,12 @@ def _run_gauge_check(cfg, out):
         v = kdv.SampledTrajectory(v.convention, times, cfg["band_cap"],
                                   v.coefficients(times, cfg["band_cap"]))
     u, theta = kdv.gauge_transform(v, k)
-    res_v = kdv.residual(v, spec_gauged)
-    res_u, details = kdv.residual(u, kdv.NonlinearitySpec(p1=p1), return_details=True)
+    spec = kdv.NonlinearitySpec(p1=p1)
     with open(os.path.join(out, "gauge.json"), "w") as fh:
-        json.dump({"residual_gauged_equation": res_v,
-                   "residual_original_equation": res_u,
+        json.dump({"residual_gauged_equation": kdv.residual(v, spec_gauged),
+                   "residual_original_equation": kdv.residual(u, spec),
                    "theta_final": float(theta[-1]),
-                   "time_step": details["step"],
+                   "time_step": float(u.times[1] - u.times[0]),
                    "contraction": kdv.contraction_achieved(states)}, fh, indent=1)
     return ["gauge.json"]
 
@@ -305,44 +308,40 @@ def _run_embeddings(cfg, out):
     return ["embeddings.csv"]
 
 
-_INT = int
-_FLOAT = float
-_BOOL = lambda v: str(v).lower() in ("1", "true", "yes")
-
 COMMANDS = {
     "count": (_run_count, {
-        "d": (_INT, 3), "b": (_parse_int_list, [2]), "N": (_parse_int_list, [8, 16]),
-        "table": (_BOOL, False), "mem_budget": (_INT, counting.DEFAULT_MEM_BUDGET)}),
+        "d": (int, 3), "b": (_parse_int_list, [2]), "N": (_parse_int_list, [8, 16]),
+        "table": (_parse_bool, False), "mem_budget": (int, counting.DEFAULT_MEM_BUDGET)}),
     "strichartz": (_run_strichartz, {
-        "d": (_INT, 5), "p": (_parse_int_list, [12]), "N": (_parse_int_list, [8, 16]),
+        "d": (int, 5), "p": (_parse_int_list, [12]), "N": (_parse_int_list, [8, 16]),
         "strategies": (lambda v: [s for s in str(v).split(",") if s],
                        ["single", "all_ones", "random"]),
-        "draws": (_INT, 8), "mem_budget": (_INT, counting.DEFAULT_MEM_BUDGET),
-        "seed": (_INT, 0)}),
+        "draws": (int, 8), "mem_budget": (int, counting.DEFAULT_MEM_BUDGET),
+        "seed": (int, 0)}),
     "levelset": (_run_levelset, {
-        "case": (str, "kernel"), "d": (_INT, 3), "N": (_parse_int_list, [32]),
-        "samples": (_INT, 1_000_000), "points": (_INT, 10), "min_hits": (_INT, 50),
-        "seed": (_INT, 0)}),
+        "case": (str, "kernel"), "d": (int, 3), "N": (_parse_int_list, [32]),
+        "samples": (int, 1_000_000), "points": (int, 10), "min_hits": (int, 50),
+        "seed": (int, 0)}),
     "weyl": (_run_weyl, {
-        "d": (_INT, 3), "N": (_parse_int_list, [64, 128]), "count": (_INT, 12),
-        "arcs": (_INT, 0), "seed": (_INT, 0)}),
+        "d": (int, 3), "N": (_parse_int_list, [64, 128]), "count": (int, 12),
+        "arcs": (int, 0), "seed": (int, 0)}),
     "kernel": (_run_kernel, {
-        "d": (_INT, 3), "N": (_parse_int_list, [16, 32]), "count": (_INT, 400),
-        "seed": (_INT, 0)}),
+        "d": (int, 3), "N": (_parse_int_list, [16, 32]), "count": (int, 400),
+        "seed": (int, 0)}),
     "illposed": (_run_illposed, {
-        "case": (str, "p1"), "s": (_FLOAT, 0.3), "eps": (_FLOAT, 1.0),
-        "t": (_FLOAT, 0.01), "N": (_parse_int_list, [16, 32, 64, 128, 256])}),
+        "case": (str, "p1"), "s": (float, 0.3), "eps": (float, 1.0),
+        "t": (float, 0.01), "N": (_parse_int_list, [16, 32, 64, 128, 256])}),
     "solve": (_run_solve, {
-        "amp": (_FLOAT, 0.1), "mode": (_INT, 1), "delta": (_FLOAT, 1e-3),
-        "s": (_FLOAT, 1.0), "band_cap": (_INT, 12), "max_iter": (_INT, 8),
-        "time_samples": (_INT, 257)}),
+        "amp": (float, 0.1), "mode": (int, 1), "delta": (float, 1e-3),
+        "s": (float, 1.0), "band_cap": (int, 12), "max_iter": (int, 8),
+        "time_samples": (int, 257)}),
     "gauge-check": (_run_gauge_check, {
-        "amp": (_FLOAT, 0.1), "mode": (_INT, 1), "k": (_INT, 2),
-        "delta": (_FLOAT, 1e-3), "s": (_FLOAT, 1.0), "band_cap": (_INT, 12),
-        "max_iter": (_INT, 6), "time_samples": (_INT, 257)}),
+        "amp": (float, 0.1), "mode": (int, 1), "k": (int, 2),
+        "delta": (float, 1e-3), "s": (float, 1.0), "band_cap": (int, 12),
+        "max_iter": (int, 6), "time_samples": (int, 257)}),
     "embeddings": (_run_embeddings, {
-        "N": (_parse_int_list, [4, 8, 16]), "delta": (_FLOAT, 0.5),
-        "samples": (_INT, 100_000), "seed": (_INT, 0)}),
+        "N": (_parse_int_list, [4, 8, 16]), "delta": (float, 0.5),
+        "samples": (int, 100_000), "seed": (int, 0)}),
 }
 
 
@@ -428,8 +427,7 @@ def main(argv=None) -> int:
         runtime_ms = (time.perf_counter() - t0) * 1000.0
         manifest = {
             "command": args.command,
-            "config": {k: (v if not isinstance(v, list) else list(v))
-                       for k, v in cfg.items()},
+            "config": cfg,
             "config_hash": _config_hash(args.command, cfg),
             "versions": {
                 "dispersive_lab": __version__,

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .norms import MAX_EXACT_MODE, dispersion, h_s_norm
 from .torus import (
@@ -247,10 +246,30 @@ class SampledTrajectory:
     coeffs: np.ndarray
 
 
-def _cumulative_simpson_complex(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Complex-safe cumulative Simpson (scipy casts complex input to real)."""
-    return (cumulative_simpson(y.real, x=x, axis=axis, initial=0.0)
-            + 1j * cumulative_simpson(y.imag, x=x, axis=axis, initial=0.0))
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_m} y dx for every m, along the last axis of a complex array.
+
+    Interval m integrates the quadratic through the sample triple starting at
+    m (m even) or ending at m + 1 (m odd, and the last interval) by eq. (8) of
+    Cartwright, J. Math. Sci. Math. Educ. 12(2); below three points it is the
+    trapezoid rule. This is scipy's cumulative_simpson arithmetic, bit for bit.
+    """
+    dx = np.diff(x)
+    if len(x) < 3:
+        pieces = dx * (y[..., 1:] + y[..., :-1]) / 2.0
+    else:
+        def first_interval(f1, f2, f3, h1, h2):
+            r31 = h1 / (h1 + h2)
+            r = r31 * (h1 / h2)
+            return h1 / 6 * ((3 - r31) * f1 + (3 + r + r31) * f2 - r * f3)
+
+        f1, f2, f3, h1, h2 = y[..., :-2], y[..., 1:-1], y[..., 2:], dx[:-1], dx[1:]
+        ends = first_interval(f3, f2, f1, h2, h1)  # interval m + 1 from triple m, reversed
+        pieces = np.concatenate((ends[..., :1], ends), axis=-1)  # slot 0 is overwritten next
+        pieces[..., :-1:2] = first_interval(f1, f2, f3, h1, h2)[..., ::2]
+    out = np.zeros(y.shape, dtype=np.complex128)
+    out[..., 1:] = np.cumsum(pieces, axis=-1) + 0.0  # as scipy's initial=0: -0.0 reads +0.0
+    return out
 
 
 def _center_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,7 +346,7 @@ def _sampled_duhamel(phi: FourierSeries, w_frames: np.ndarray, times: np.ndarray
     disp = dispersion(np.arange(-band, band + 1))
     phase = np.exp(1j * disp[:, None] * times[None, :])
     integrand = phase * w_frames
-    J = _cumulative_simpson_complex(integrand, times, axis=1)
+    J = _cumulative_simpson(integrand, times)
     phi_vec = np.array([phi[n] for n in range(-band, band + 1)], dtype=np.complex128)
     coeffs = np.conj(phase) * (phi_vec[:, None] - J)
     return SampledTrajectory(phi.convention, times, band, coeffs)
@@ -435,49 +454,32 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
 # gauge transform and residuals
 
 
-def gauge_shift(v, k: int, times: np.ndarray) -> np.ndarray:
-    """theta(t) = int_0^t int_T v^k dy d tau at the sample times.
+def gauge_shift(v: SampledTrajectory, k: int) -> np.ndarray:
+    """theta(t) = int_0^t int_T v^k dy d tau at the sample times of v.
 
-    The inner integral is 2 pi times the zero mode of v^k; for harmonic sums
-    the time integral is exact (Duhamel of the zero mode, where the flow is
-    the identity, is minus its time integral), otherwise cumulative Simpson
-    on the sampled zero mode.
+    The inner integral is 2 pi times the zero mode of v^k; the time integral
+    is cumulative Simpson on the sampled zero mode.
     """
-    if isinstance(v, HarmonicTrajectory):
-        vk = v
-        for _ in range(k - 1):
-            vk = vk.product(v)
-        integral = duhamel(vk.zero_mode_terms(), horizon=float(np.max(np.abs(times))))
-        return -TWO_PI * integral.coefficients(times, 0)[0].real
     zm = _poly_eval_array(v.coeffs, (0.0,) * k + (1.0,))[k * v.band]
-    integ = _cumulative_simpson_complex(zm, times)
-    return TWO_PI * integ.real
+    return TWO_PI * _cumulative_simpson(zm, v.times).real
 
 
-def gauge_transform(v, k: int, times: np.ndarray | None = None):
+def gauge_transform(v: SampledTrajectory, k: int):
     """u(x, t) = v(x - theta(t), t) as a sampled trajectory, plus theta.
 
-    The spatial shift acts as the phase e^{-i n theta(t)} on mode n; the
-    output is sampled because theta(t) is generally not harmonic. A harmonic
-    v is sampled at ``times`` over its own band.
+    The spatial shift acts as the phase e^{-i n theta(t)} on mode n.
     """
-    if isinstance(v, HarmonicTrajectory):
-        if times is None:
-            raise ValueError("sample times are required for a harmonic input")
-        base = SampledTrajectory(v.convention, times, v.band, v.coefficients(times, v.band))
-    else:
-        base = v
-    theta = gauge_shift(v, k, base.times)
-    n_idx = np.arange(-base.band, base.band + 1)
-    shifted = base.coeffs * np.exp(-1j * n_idx[:, None] * theta[None, :])
-    return SampledTrajectory(base.convention, base.times, base.band, shifted), theta
+    theta = gauge_shift(v, k)
+    n_idx = np.arange(-v.band, v.band + 1)
+    shifted = v.coeffs * np.exp(-1j * n_idx[:, None] * theta[None, :])
+    return SampledTrajectory(v.convention, v.times, v.band, shifted), theta
 
 
-def residual(u: SampledTrajectory, spec: NonlinearitySpec, return_details: bool = False):
+def residual(u: SampledTrajectory, spec: NonlinearitySpec) -> float:
     """sup-in-time L^2 norm of d_t u + d_x^5 u + nonlinearity on a sampled trajectory.
 
     d_t is a centered difference, so the sup runs over the interior of the
-    grid (step reported in the details); the nonlinearity keeps its full band.
+    grid; the nonlinearity keeps its full band.
     """
     dt = u.times[1] - u.times[0]
     frames = u.coeffs[:, 1:-1]
@@ -485,7 +487,4 @@ def residual(u: SampledTrajectory, spec: NonlinearitySpec, return_details: bool 
     dx5 = ((1j * np.arange(-u.band, u.band + 1)) ** 5)[:, None] * frames
     w_full, _ = _array_nonlinear(frames, u.band, spec)
     res = _center_add(w_full, dudt + dx5)
-    worst = float(np.max(np.linalg.norm(res, axis=0), initial=0.0))
-    if return_details:
-        return worst, {"step": float(dt), "times": len(u.times)}
-    return worst
+    return float(np.max(np.linalg.norm(res, axis=0), initial=0.0))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -91,6 +92,47 @@ def test_gauge_check_projects_a_harmonic_final_iterate(tmp_path):
     assert rep["residual_gauged_equation"] < 1e-7
     assert rep["residual_original_equation"] < 1e-7
     assert rep["theta_final"] > 0.0
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI and running the
+    # sampled Picard and gauge paths must leave scipy unimported
+    script = textwrap.dedent(f"""
+        import sys
+        from dispersive_lab import cli
+        for command in ("solve", "gauge-check"):
+            argv = [command, "--out", {str(tmp_path)!r} + "/" + command,
+                    "--param", "band_cap=8", "--param", "time_samples=65"]
+            assert cli.main(argv) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "sampled" in (tmp_path / "solve" / "picard.csv").read_text()
+    assert r.stdout.strip() == "[]"
+
+
+def test_levelset_rejects_several_n(tmp_path):
+    out = tmp_path / "run"
+    r = run_cli(["levelset", "--out", str(out), "--param", "N=8,64",
+                 "--param", "samples=2000"])
+    assert r.returncode == 2
+    assert r.stderr.startswith("config error:") and "one N" in r.stderr
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("value,code", [("ture", 2), ("maybe", 2), ("", 2),
+                                        ("YES", 0), ("False", 0), ("0", 0)])
+def test_bool_param_spellings(tmp_path, value, code):
+    out = tmp_path / "run"
+    r = run_cli(["count", "--out", str(out), "--param", "N=1",
+                 "--param", f"table={value}"])
+    assert r.returncode == code, r.stderr
+    if code == 2:
+        assert r.stderr.startswith("config error:") and "table" in r.stderr
+    else:
+        tables = [p for p in os.listdir(out) if p.startswith("table_")]
+        assert bool(tables) == (value == "YES")
 
 
 def test_lock_file_blocks_concurrent_runs(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from dispersive_lab.kdv import (
     NonlinearitySpec,
@@ -23,7 +24,7 @@ from dispersive_lab.kdv import (
     u_p2,
     u_squared_p1,
 )
-from dispersive_lab.kdv import _array_nonlinear
+from dispersive_lab.kdv import _array_nonlinear, _cumulative_simpson
 from dispersive_lab.norms import dispersion, h_s_norm
 from dispersive_lab.torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
 
@@ -408,24 +409,64 @@ def test_sampled_projection_matches_exact():
 
 
 # ---------------------------------------------------------------------------
+# cumulative Simpson
+
+
+def _grids(T):
+    uniform = np.linspace(0.0, 1e-3, T)
+    irregular = np.sort(np.random.default_rng(T).uniform(0.0, 1.0, T))
+    return uniform, irregular
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 17, 256, 257])
+@pytest.mark.parametrize("shape", [(), (25,)], ids=["1d", "2d"])
+def test_cumulative_simpson_matches_scipy_bit_for_bit(T, shape):
+    rng = np.random.default_rng(T + len(shape))
+    y = rng.standard_normal(shape + (T,)) + 1j * rng.standard_normal(shape + (T,))
+    y[..., ::3] = 0.0  # zero samples, so that the sign of zero is compared too
+    for x in _grids(T):
+        want = (cumulative_simpson(y.real, x=x, initial=0)
+                + 1j * cumulative_simpson(y.imag, x=x, initial=0))
+        got = _cumulative_simpson(y, x)
+        assert got.shape == y.shape
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert np.array_equal(np.signbit(got.view(np.float64)),
+                              np.signbit(want.view(np.float64)))
+
+
+@pytest.mark.parametrize("T", [3, 4, 5, 17])
+def test_cumulative_simpson_integrates_quadratics(T):
+    # exact up to roundoff; on long unit-scale grids the running sum's own
+    # roundoff reaches a few 1e-15, which the bit-for-bit test covers instead
+    a, b, c = 1 - 2j, 0.5 + 1j, -3 + 0.5j
+    antiderivative = lambda t: a * t + b * t**2 / 2 + c * t**3 / 3
+    for x in (np.linspace(0.0, 1.0, T), _grids(T)[1]):
+        got = _cumulative_simpson(a + b * x + c * x**2, x)
+        want = antiderivative(x) - antiderivative(x[0])
+        assert np.abs(got - want).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
 # gauge transform and residuals
+
+
+def _sampled(v, times):
+    return SampledTrajectory(TP, times, v.band, v.coefficients(times, v.band))
 
 
 def test_gauge_zero_mean_power():
     # int v^k dx = 0 identically -> theta = 0 and u = v
     v = HarmonicTrajectory(TP, {(1, 0, -1.0): 1.0})  # v^1 has no zero mode
-    times = np.linspace(0.0, 1e-2, 17)
-    theta = gauge_shift(v, 1, times)
+    theta = gauge_shift(_sampled(v, np.linspace(0.0, 1e-2, 17)), 1)
     assert np.abs(theta).max() < 1e-15
 
 
 def test_gauge_constant_shift():
     c = 0.3
-    v = HarmonicTrajectory(TP, {(0, 0, 0.0): c})
-    times = np.linspace(0.0, 0.5, 33)
-    theta = gauge_shift(v, 2, times)
+    v = _sampled(HarmonicTrajectory(TP, {(0, 0, 0.0): c}), np.linspace(0.0, 0.5, 33))
+    theta = gauge_shift(v, 2)
     assert theta[-1] == pytest.approx(2 * math.pi * c**2 * 0.5, rel=1e-12)
-    u, _ = gauge_transform(v, 2, times)
+    u, _ = gauge_transform(v, 2)
     assert np.abs(u.coeffs[u.band] - c).max() < 1e-14
 
 
