@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -22,18 +23,22 @@ import numpy as np
 from . import __version__, counting, kdv, strichartz, weyl
 from .counting import BudgetExceededError, Int64OverflowError, SystemSpec
 from .svgplot import write_loglog_svg
-from .torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
+from .kernels import BandCapExceeded
+from .torus import FourierSeries, HarmonicTrajectory, TorusConvention
 
 
 class ConfigError(Exception):
     pass
 
 
-def _parse_int_list(text: str):
-    vals = [int(v) for v in str(text).split(",") if v != ""]
-    if not vals:
-        raise ConfigError("empty integer list")
-    return vals
+def _parse_list(item):
+    """Parser for a nonempty comma-separated list of ``item`` values."""
+    def parse(text):
+        vals = [item(v) for v in str(text).split(",") if v != ""]
+        if not vals:
+            raise ConfigError("empty list")
+        return vals
+    return parse
 
 
 def _parse_bool(text) -> bool:
@@ -130,11 +135,13 @@ def _run_levelset(cfg, out):
     if len(cfg["N"]) != 1:
         raise ConfigError(f"levelset takes one N, got {cfg['N']}")
     d, N = cfg["d"], cfg["N"][0]
+    lam_hi = strichartz.decay_regime(cfg["case"], d, N)[1]
+    if (2.0**d + 2) * math.log(lam_hi) >= math.log(sys.float_info.max):
+        raise ConfigError(f"the decay ratio's lambda^(2^d+2) overflows float64 at d={d}, "
+                          f"lambda = {lam_hi:g}")
     sampler = strichartz.SamplerConfig(samples=cfg["samples"], seed=cfg["seed"])
     verify = {"curve": strichartz.verify_curve_levelset_decay,
-              "kernel": strichartz.verify_kernel_levelset_decay}.get(cfg["case"])
-    if verify is None:
-        raise ConfigError(f"unknown level-set case {cfg['case']!r}")
+              "kernel": strichartz.verify_kernel_levelset_decay}[cfg["case"]]
     rep = verify(d, N, config=sampler, points=cfg["points"], min_hits=cfg["min_hits"])
     rows = [(r["lam"], r["measure"], r["ci"], cfg["samples"]) for r in rep["rows"]]
     write_csv(os.path.join(out, "levelset.csv"),
@@ -211,11 +218,9 @@ def _run_illposed(cfg, out):
     if cfg["case"] == "p1":
         spec = kdv.u_squared_p1()
         target = 1.0 - 2.0 * cfg["s"]
-    elif cfg["case"] == "p2":
+    else:
         spec = kdv.u_p2()
         target = 2.0 - 2.0 * cfg["s"]
-    else:
-        raise ConfigError(f"unknown nonlinearity case {cfg['case']!r}")
     scan = kdv.illposedness_scan(spec, cfg["s"], cfg["eps"], cfg["t"], cfg["N"])
     rows = [(N, cfg["s"], resp, scan.slope)
             for N, resp in zip(scan.N_list, scan.responses)]
@@ -279,7 +284,7 @@ def _run_gauge_check(cfg, out):
                               time_samples=cfg["time_samples"])
     v = states[-1].trajectory
     if isinstance(v, HarmonicTrajectory):
-        times = np.linspace(0.0, cfg["delta"], cfg["time_samples"])
+        times = kdv.picard_times(cfg["delta"], cfg["time_samples"])
         v = kdv.SampledTrajectory(v.convention, times, cfg["band_cap"],
                                   v.coefficients(times, cfg["band_cap"]))
     u, theta = kdv.gauge_transform(v, k)
@@ -308,41 +313,59 @@ def _run_embeddings(cfg, out):
     return ["embeddings.csv"]
 
 
+# command: (runner, {key: (parser, default, domain)}). A domain is None, a
+# set of allowed values, or a bound such as ">= 1"; list values are checked
+# item by item.
+_INTS = _parse_list(int)
 COMMANDS = {
     "count": (_run_count, {
-        "d": (int, 3), "b": (_parse_int_list, [2]), "N": (_parse_int_list, [8, 16]),
-        "table": (_parse_bool, False), "mem_budget": (int, counting.DEFAULT_MEM_BUDGET)}),
+        "d": (int, 3, ">= 2"), "b": (_INTS, [2], ">= 1"), "N": (_INTS, [8, 16], ">= 1"),
+        "table": (_parse_bool, False, None),
+        "mem_budget": (int, counting.DEFAULT_MEM_BUDGET, ">= 1")}),
     "strichartz": (_run_strichartz, {
-        "d": (int, 5), "p": (_parse_int_list, [12]), "N": (_parse_int_list, [8, 16]),
-        "strategies": (lambda v: [s for s in str(v).split(",") if s],
-                       ["single", "all_ones", "random"]),
-        "draws": (int, 8), "mem_budget": (int, counting.DEFAULT_MEM_BUDGET),
-        "seed": (int, 0)}),
+        "d": (int, 5, ">= 2"), "p": (_INTS, [12], ">= 2"), "N": (_INTS, [8, 16], ">= 1"),
+        "strategies": (_parse_list(str), ["single", "all_ones", "random"],
+                       {"single", "all_ones", "random", "ascent"}),
+        "draws": (int, 8, ">= 1"), "mem_budget": (int, counting.DEFAULT_MEM_BUDGET, ">= 1"),
+        "seed": (int, 0, ">= 0")}),
     "levelset": (_run_levelset, {
-        "case": (str, "kernel"), "d": (int, 3), "N": (_parse_int_list, [32]),
-        "samples": (int, 1_000_000), "points": (int, 10), "min_hits": (int, 50),
-        "seed": (int, 0)}),
+        "case": (str, "kernel", {"kernel", "curve"}), "d": (int, 3, ">= 2"),
+        "N": (_INTS, [32], ">= 1"), "samples": (int, 1_000_000, ">= 1"),
+        "points": (int, 10, ">= 1"), "min_hits": (int, 50, ">= 0"), "seed": (int, 0, ">= 0")}),
     "weyl": (_run_weyl, {
-        "d": (int, 3), "N": (_parse_int_list, [64, 128]), "count": (int, 12),
-        "arcs": (int, 0), "seed": (int, 0)}),
+        "d": (int, 3, ">= 2"), "N": (_INTS, [64, 128], ">= 1"), "count": (int, 12, ">= 1"),
+        "arcs": (int, 0, ">= 0"), "seed": (int, 0, ">= 0")}),
     "kernel": (_run_kernel, {
-        "d": (int, 3), "N": (_parse_int_list, [16, 32]), "count": (int, 400),
-        "seed": (int, 0)}),
+        "d": (int, 3, ">= 2"), "N": (_INTS, [16, 32], ">= 2"), "count": (int, 400, ">= 1"),
+        "seed": (int, 0, ">= 0")}),
     "illposed": (_run_illposed, {
-        "case": (str, "p1"), "s": (float, 0.3), "eps": (float, 1.0),
-        "t": (float, 0.01), "N": (_parse_int_list, [16, 32, 64, 128, 256])}),
+        "case": (str, "p1", {"p1", "p2"}), "s": (float, 0.3, None), "eps": (float, 1.0, "> 0"),
+        "t": (float, 0.01, "> 0"), "N": (_INTS, [16, 32, 64, 128, 256], ">= 1")}),
     "solve": (_run_solve, {
-        "amp": (float, 0.1), "mode": (int, 1), "delta": (float, 1e-3),
-        "s": (float, 1.0), "band_cap": (int, 12), "max_iter": (int, 8),
-        "time_samples": (int, 257)}),
+        "amp": (float, 0.1, None), "mode": (int, 1, None), "delta": (float, 1e-3, "> 0"),
+        "s": (float, 1.0, None), "band_cap": (int, 12, ">= 1"), "max_iter": (int, 8, ">= 0"),
+        "time_samples": (int, 257, ">= 2")}),
     "gauge-check": (_run_gauge_check, {
-        "amp": (float, 0.1), "mode": (int, 1), "k": (int, 2),
-        "delta": (float, 1e-3), "s": (float, 1.0), "band_cap": (int, 12),
-        "max_iter": (int, 6), "time_samples": (int, 257)}),
+        "amp": (float, 0.1, None), "mode": (int, 1, None), "k": (int, 2, ">= 0"),
+        "delta": (float, 1e-3, "> 0"), "s": (float, 1.0, None), "band_cap": (int, 12, ">= 1"),
+        "max_iter": (int, 6, ">= 0"), "time_samples": (int, 257, ">= 2")}),
     "embeddings": (_run_embeddings, {
-        "N": (_parse_int_list, [4, 8, 16]), "delta": (float, 0.5),
-        "samples": (int, 100_000), "seed": (int, 0)}),
+        "N": (_INTS, [4, 8, 16], ">= 1"), "delta": (float, 0.5, "> 0"),
+        "samples": (int, 100_000, ">= 1"), "seed": (int, 0, ">= 0")}),
 }
+_BOUNDS = {">=": operator.ge, ">": operator.gt}
+
+
+def _check_domain(key, value, domain):
+    if domain is None:
+        return
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(domain, str):
+            op, bound = domain.split()
+            if not _BOUNDS[op](item, float(bound)):
+                raise ConfigError(f"{key} must be {domain}, got {item!r}")
+        elif item not in domain:
+            raise ConfigError(f"{key} must be one of {sorted(domain)}, got {item!r}")
 
 
 def _load_config_file(path):
@@ -364,7 +387,7 @@ def _load_config_file(path):
 def _resolve_config(command, file_values, flag_values):
     _, schema = COMMANDS[command]
     cfg = {}
-    for key, (parser, default) in schema.items():
+    for key, (parser, default, domain) in schema.items():
         raw = None
         if flag_values.get(key) is not None:
             raw = flag_values[key]
@@ -377,6 +400,7 @@ def _resolve_config(command, file_values, flag_values):
                 cfg[key] = parser(raw)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"invalid value for {key}: {raw!r} ({exc})")
+        _check_domain(key, cfg[key], domain)
     unknown = (set(file_values) | set(flag_values)) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

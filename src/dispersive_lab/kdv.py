@@ -17,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import BandCapExceeded
 from .norms import MAX_EXACT_MODE, dispersion, h_s_norm
-from .torus import (
-    DEFAULT_BAND_CAP,
-    BandCapExceeded,
-    FourierSeries,
-    HarmonicTrajectory,
-    TorusConvention,
-)
+from .torus import DEFAULT_BAND_CAP, FourierSeries, HarmonicTrajectory, TorusConvention
 
 TWO_PI = 2.0 * math.pi
 RESONANCE_TOL = 1e-9
@@ -396,6 +391,12 @@ def _nonlinear_work_estimate(term_count: int, spec: NonlinearitySpec) -> float:
     return float(term_count) ** g
 
 
+def picard_times(delta: float, time_samples: int) -> np.ndarray:
+    """The Picard time grid on [0, delta]: an even ``time_samples`` is rounded
+    up to odd, so the Simpson rule sees an even number of intervals."""
+    return np.linspace(0.0, delta, time_samples | 1)
+
+
 def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
                  max_iter: int = 8, band_cap: int = 16, s: float = 1.0,
                  time_samples: int = 257) -> list:
@@ -413,14 +414,14 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
     """
     if delta <= 0:
         raise ValueError("time horizon must be positive")
+    if time_samples < 2:
+        raise ValueError("the Picard time grid needs time_samples >= 2")
     if band_cap > MAX_EXACT_MODE:
         raise BandCapExceeded(
             f"band_cap {band_cap} exceeds {MAX_EXACT_MODE}, the largest mode whose "
             "dispersion n^5 float64 holds exactly")
-    if time_samples % 2 == 0:
-        time_samples += 1
-    times = np.linspace(0.0, delta, time_samples)
-    diag = times[::max(1, (time_samples - 1) // 32)]
+    times = picard_times(delta, time_samples)
+    diag = times[::max(1, (len(times) - 1) // 32)]
     u0_exact = flow_trajectory(phi)
     states = [PicardState(0, u0_exact, _sup_hs_distance(
         u0_exact, HarmonicTrajectory(phi.convention, {}), s, diag, band_cap),

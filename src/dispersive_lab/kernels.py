@@ -1,42 +1,80 @@
-"""Numeric kernels: the curve sum, the hot loop of Monte Carlo level-set scans,
-and the sort-and-sum reducer behind signature tables and harmonic trajectories."""
+"""Numeric kernels: the curve sum, and the sort-and-sum reducer behind
+signature tables and harmonic trajectories.
+
+``curve_sum`` is the one evaluator of F(x, t) = sum_n a_n e(n x + n^d t),
+e(y) = e^{2 pi i y}: Weyl sums, the Dirichlet curve kernel and the level-set
+scans all call it. One phase rule serves them: each rounded product n x and
+n^d t is reduced mod 1 by p - rint(p), which is exact, before the two are
+added and scaled by 2 pi, so no cos or sin argument exceeds 2 pi in modulus.
+A float t needs n^d exact in float64, so a band with N^d >= 2^53 raises
+``BandCapExceeded``; below it, rounding n^d t still costs up to |n^d t| 2^-53
+cycles per mode. A ``Fraction`` t = a/q is reduced exactly, as
+(a n^d mod q)/q in Python integers, at any n.
+"""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
 HAVE_COMPILED = False  # numpy is the only backend; kept for run records
+EXACT_LIMIT = 2**53  # float64 holds every integer below it exactly
+_BLOCK_CELLS = 1 << 15  # (point, mode) cells per curve_sum block
 
 
-def curve_sum(coeff, d: int, x, t, scale: float = 2.0 * np.pi) -> np.ndarray:
-    """Evaluate F(x_i, t_i) = sum_n a_n e^{i scale (n x_i + n^d t_i)}.
+class BandCapExceeded(ValueError):
+    """Raised when a spectral product would exceed the hard band cap, or a
+    frequency leaves the range float64 holds exactly."""
 
-    ``coeff`` covers n in [-N, N]; mode frequencies n^d are float64, exact
-    for |n|^d below 2^53.
+
+def curve_sum(coeff, d: int, x, t) -> np.ndarray:
+    """F(x_i, t_i) = sum_n a_n e(n x_i + n^d t_i) for ``coeff`` a_n on n in [-N, N].
+
+    ``t`` is a float array shaped like ``x``, or one ``Fraction`` for every
+    point. Zero coefficients are dropped; cos and sin of the phases go through
+    one matmul with the rest, on blocks of _BLOCK_CELLS (point, mode) cells.
     """
-    coeff = np.ascontiguousarray(coeff, dtype=np.complex128)
+    coeff = np.asarray(coeff, dtype=np.complex128)
     if len(coeff) % 2 != 1:
         raise ValueError("coeff must cover n in [-N, N]")
     N = len(coeff) // 2
-    modes = np.arange(-N, N + 1, dtype=np.int64)
-    powers = (modes.astype(object) ** d).astype(np.float64)
+    keep = np.flatnonzero(coeff)
+    modes, weights = keep - N, np.stack((coeff.real[keep], coeff.imag[keep]), axis=1)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    if x.shape != t.shape:
-        raise ValueError("x and t must have matching shapes")
-    scale = float(scale)
-    out_re = np.zeros(len(x))
-    out_im = np.zeros(len(x))
-    for n, p, c in zip(modes, powers, coeff):
-        if c == 0:
-            continue
-        phase = scale * (n * x + p * t)
-        cr, ci = c.real, c.imag
-        cos_p = np.cos(phase)
-        sin_p = np.sin(phase)
-        out_re += cr * cos_p - ci * sin_p
-        out_im += cr * sin_p + ci * cos_p
-    return out_re + 1j * out_im
+    if isinstance(t, Fraction):  # exact residues (a n^d mod q)/q stand in for n^d, at t = 1
+        powers = np.array([t.numerator * n**d % t.denominator / t.denominator
+                           for n in modes.tolist()])
+        t = np.ones(len(x))
+    else:
+        if N**d >= EXACT_LIMIT:
+            raise BandCapExceeded(
+                f"mode |n| = {N}: n^{d} is not below 2^53, where float64 stops holding "
+                "integers exactly; pass t as a Fraction for exact phases")
+        t = np.ascontiguousarray(t, dtype=np.float64)
+        if x.shape != t.shape:
+            raise ValueError("x and t must have matching shapes")
+        powers = (modes**d).astype(np.float64)
+    modes = modes.astype(np.float64)
+    out = np.empty(len(x), dtype=np.complex128)
+    rows = max(1, _BLOCK_CELLS // max(1, len(modes)))
+    # buffers reused by every block: fresh block-sized temporaries cost page faults
+    phase = np.empty((min(rows, len(x)), len(modes)))
+    trig = np.empty((2 * len(phase), len(modes)))  # cos rows, then sin rows
+    for i in range(0, len(x), rows):
+        r = min(rows, len(x) - i)
+        ph, t_part, scratch = phase[:r], trig[r:2 * r], trig[:r]
+        np.multiply(x[i:i + r, None], modes, out=ph)
+        np.multiply(t[i:i + r, None], powers, out=t_part)
+        ph -= np.rint(ph, out=scratch)  # each product mod 1, into [-1/2, 1/2], exactly
+        t_part -= np.rint(t_part, out=scratch)
+        ph += t_part
+        ph *= 2.0 * np.pi
+        np.cos(ph, out=trig[:r])
+        np.sin(ph, out=trig[r:2 * r])
+        s = trig[:2 * r] @ weights  # columns: sums against Re a_n, Im a_n
+        out[i:i + r] = s[:r, 0] - s[r:, 1] + 1j * (s[:r, 1] + s[r:, 0])
+    return out
 
 
 def sum_by_key(key_columns, vals):

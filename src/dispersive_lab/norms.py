@@ -16,7 +16,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, bracket
+from .kernels import BandCapExceeded
+from .torus import FourierSeries, HarmonicTrajectory, bracket
 
 TWO_PI = 2.0 * math.pi
 

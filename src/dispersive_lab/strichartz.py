@@ -19,7 +19,6 @@ from .kernels import curve_sum
 from .norms import TimeWindow, xsb_norm
 from .torus import HarmonicTrajectory
 
-TWO_PI = 2.0 * math.pi
 SAMPLE_CHUNK = 250_000  # level-set points drawn (x, then t) per curve_sum call
 Z_95 = 1.96  # Wilson interval quantile
 
@@ -263,7 +262,7 @@ def level_set_profile(vec: CoefficientVector, d: int, lams,
         m = min(SAMPLE_CHUNK, config.samples - done)
         x = rng.random(m)
         t = rng.random(m)
-        vals = np.abs(curve_sum(vec.a, d, x, t, scale=TWO_PI))
+        vals = np.abs(curve_sum(vec.a, d, x, t))
         bins += np.bincount(np.searchsorted(grid, vals), minlength=len(bins))
     # |F| > lam exactly when more than the levels <= lam lie below |F|
     tails = np.cumsum(bins[::-1])[::-1]
@@ -281,12 +280,17 @@ _DECAY_CASES = {
 }
 
 
+def decay_regime(case: str, d: int, N: int, c_low: float = 1.0) -> tuple:
+    """(lam_lo, lam_hi), the level range a _DECAY_CASES row checks its law on."""
+    _, lo, top, _ = _DECAY_CASES[case]
+    return c_low * N ** lo(d), 2.0 * top(N)
+
+
 def _levelset_decay(case: str, d: int, N: int, lam_grid, config: SamplerConfig | None,
                     c_low: float, points: int, min_hits: int) -> dict:
     """Decay report for one _DECAY_CASES row; levels under min_hits do not qualify."""
-    normalize, lo, top, law = _DECAY_CASES[case]
-    lam_lo = c_low * N ** lo(d)
-    lam_hi = 2.0 * top(N)
+    normalize, _, _, law = _DECAY_CASES[case]
+    lam_lo, lam_hi = decay_regime(case, d, N, c_low)
     if lam_grid is None:
         lam_grid = np.geomspace(lam_lo, lam_hi, points)
     profile = level_set_profile(all_ones(N, normalize=normalize), d, lam_grid, config)

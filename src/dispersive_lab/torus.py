@@ -1,10 +1,11 @@
 """Fourier representations of periodic functions on the two torus conventions.
 
-Two normalizations coexist in the lab and are never mixed implicitly:
+Two normalizations are named here and never mixed implicitly:
 
-* ``UNIT``  -- period 1, basis e^{2 pi i n x}; used by the counting,
-  Weyl-sum and level-set machinery.
 * ``TWO_PI`` -- period 2 pi, basis e^{i n x}; used by the PDE side.
+* ``UNIT``  -- period 1, basis e^{2 pi i n x}; no computation uses it, and
+  the PDE side refuses it. Counting, Weyl sums and level sets work on the
+  unit torus too, but on plain coefficient arrays, not on these classes.
 
 ``FourierSeries`` is a band-limited spatial slice; ``HarmonicTrajectory``
 is a finite sum of terms c * e^{inx} * t^j * e^{i lambda t}, which is
@@ -22,7 +23,7 @@ the canonical output keys, those with (n, lambda) >= (0, 0); each mirror key
 lambda = 0) keeps only its real part. Inputs that are not exactly
 real-symmetric are summed in full. Frequencies are float64 and must stay
 below 2^53 in modulus, where every integer is exact; a larger one raises
-``BandCapExceeded``.
+``BandCapExceeded`` (defined in ``kernels``, and importable from here).
 """
 
 from __future__ import annotations
@@ -37,16 +38,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .kernels import sum_by_key
+from .kernels import EXACT_LIMIT, BandCapExceeded, sum_by_key
 
 DEFAULT_BAND_CAP = 4096
-_LAMBDA_LIMIT = 2.0 ** 53  # float64 holds every integer below it exactly
 _BLOCK_CELLS = 1 << 15  # (term, time) cells per block of ``coefficients``
-
-
-class BandCapExceeded(ValueError):
-    """Raised when a spectral product would exceed the hard band cap, or a
-    trajectory frequency leaves the range float64 holds exactly."""
 
 
 class ConventionMismatch(ValueError):
@@ -192,7 +187,7 @@ class HarmonicTrajectory:
                             ((n, -n), (j, j), (lam, -lam), (c, np.conj(c))))
         (n, j, lam), c = sum_by_key((n, j, lam), c)
         kept = c != 0
-        big = np.flatnonzero(kept & (np.abs(lam) >= _LAMBDA_LIMIT))
+        big = np.flatnonzero(kept & (np.abs(lam) >= EXACT_LIMIT))
         if len(big):
             raise BandCapExceeded(
                 f"frequency {lam[big[0]]:.17g} of mode {n[big[0]]} is not below 2^53, "

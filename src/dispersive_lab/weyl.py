@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .counting import DEFAULT_SIEVE_LIMIT, mobius_phi_sieve, ramanujan_sum
+from .kernels import curve_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,41 +65,21 @@ def rational_approx(t, q_max: int) -> RationalApprox:
     return RationalApprox(best[0], best[1], float(t))
 
 
-def _phase_fraction(t, nd: int) -> float:
-    """Fractional part of t * nd, exactly reduced when t is rational."""
-    if isinstance(t, Fraction):
-        return ((t.numerator * nd) % t.denominator) / t.denominator
-    return math.fmod(float(t) * nd, 1.0)
-
-
 def weyl_sum(N: int, d: int, t, pcoeffs=()) -> complex:
-    """sum_{n=1}^{N} e^{2 pi i (t n^d + P(n))} with deg P <= d-1.
+    """sum_{n=1}^{N} e(t n^d + P(n)) with deg P <= d-1, e(y) = e^{2 pi i y}.
 
-    ``t`` may be a Fraction, in which case the phase t*n^d is reduced mod 1
-    in exact integer arithmetic before any rounding; accumulation is
-    compensated via fsum.
+    ``pcoeffs`` lists P's coefficients from the constant term up. The sum is
+    ``curve_sum`` at x = 0 with a_n = e(P(n)) on 1 <= n <= N and a_n = 0
+    elsewhere, so a ``Fraction`` t is reduced exactly and a float t past
+    N^d = 2^53 raises ``BandCapExceeded``.
     """
     if len(pcoeffs) > d:
         raise ValueError("P must have degree <= d-1")
-    res, ims = [], []
-    for n in range(1, N + 1):
-        p = 0.0
-        for c in reversed(pcoeffs):
-            p = p * n + c
-        phase = TWO_PI * (_phase_fraction(t, n**d) + math.fmod(p, 1.0))
-        res.append(math.cos(phase))
-        ims.append(math.sin(phase))
-    return complex(math.fsum(res), math.fsum(ims))
-
-
-def dirichlet_curve_kernel(N: int, d: int, x: float, t) -> complex:
-    """K_N(x, t) = sum_{n=-N}^{N} e^{2 pi i (t n^d + x n)}."""
-    res, ims = [], []
-    for n in range(-N, N + 1):
-        phase = TWO_PI * (_phase_fraction(t, n**d) + math.fmod(x * n, 1.0))
-        res.append(math.cos(phase))
-        ims.append(math.sin(phase))
-    return complex(math.fsum(res), math.fsum(ims))
+    p = np.polyval(pcoeffs[::-1], np.arange(1, N + 1, dtype=np.float64))
+    coeff = np.zeros(2 * N + 1, dtype=np.complex128)
+    coeff[N + 1:] = np.exp(1j * TWO_PI * (p - np.rint(p)))
+    t = t if isinstance(t, Fraction) else np.array([float(t)])
+    return complex(curve_sum(coeff, d, np.zeros(1), t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +406,8 @@ class KernelDecomposition:
     def k1_at_arc(self, a: int, q: int, u: float, x: float) -> complex:
         """K_1 at t = a/q + u/q^2 for u in the bump support (Phi known by construction)."""
         t = a / q + u / (q * q)
-        val = dirichlet_curve_kernel(self.N, self.d, x, t)
+        val = complex(curve_sum(np.ones(2 * self.N + 1), self.d, np.array([x]),
+                                np.array([t]))[0])
         return val * float(self.bump_value(u)) / self._phi_hat0
 
     def bump_value(self, u: float) -> float:

@@ -82,6 +82,50 @@ def test_inexact_frequency_exit_code(tmp_path):
     assert not (out / "picard.csv").exists()
 
 
+# (command, params, a word the one stderr line must contain)
+BAD_CONFIGS = [
+    ("solve", ["time_samples=1"], "time_samples"),
+    ("gauge-check", ["time_samples=1"], "time_samples"),
+    ("levelset", ["samples=0"], "samples"),
+    ("levelset", ["N=0"], "N"),
+    ("count", ["N=0"], "N"),
+    ("count", ["b=0"], "b"),
+    ("kernel", ["N=1"], "N"),
+    ("illposed", ["N=0"], "N"),
+    ("solve", ["delta=0"], "delta"),
+    ("embeddings", ["delta=0"], "delta"),
+    ("embeddings", ["samples=0"], "samples"),
+    ("strichartz", ["strategies=foo"], "strategies"),
+    ("strichartz", ["strategies="], "strategies"),
+    # lambda^(2^d+2) of the decay ratio leaves float64 (kernel case: 2N = 240)
+    ("levelset", ["d=7", "N=120"], "overflows"),
+    # 1553^5 is past 2^53, so curve_sum refuses a float t
+    ("levelset", ["d=5", "N=1553"], "2^53"),
+]
+
+
+@pytest.mark.parametrize("command,params,word", BAD_CONFIGS,
+                         ids=["-".join([c] + p) for c, p, _ in BAD_CONFIGS])
+def test_bad_config_values_exit_2(tmp_path, command, params, word):
+    out = tmp_path / "run"
+    r = run_cli([command, "--out", str(out)] + [a for p in params for a in ("--param", p)])
+    assert r.returncode == 2, r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:") and word in lines[0]
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_gauge_check_samples_on_the_picard_grid(tmp_path):
+    # picard_solve rounds 64 samples up to 65; a harmonic final iterate is
+    # sampled on that grid, step delta/64
+    out = tmp_path / "run"
+    r = run_cli(["gauge-check", "--out", str(out), "--param", "band_cap=8",
+                 "--param", "time_samples=64", "--param", "max_iter=2"])
+    assert r.returncode == 0, r.stderr
+    rep = json.loads((out / "gauge.json").read_text())
+    assert rep["time_step"] == pytest.approx(1e-3 / 64, rel=1e-12)
+
+
 def test_gauge_check_projects_a_harmonic_final_iterate(tmp_path):
     # max_iter=2 ends on an exact iterate, which is sampled once for both residuals
     out = tmp_path / "run"

@@ -1,17 +1,92 @@
+import cmath
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dispersive_lab import kernels
-from dispersive_lab.weyl import dirichlet_curve_kernel
+from dispersive_lab.kernels import BandCapExceeded
+from dispersive_lab.weyl import minor_arc_points
+
+ULP = 2.0**-53
 
 
-def test_curve_sum_matches_scalar_kernel():
-    x = np.array([0.21, 0.9])
-    t = np.array([0.47, 0.05])
-    vals = kernels.curve_sum(np.ones(2 * 7 + 1, dtype=complex), 3, x, t)
-    for i in range(2):
-        want = dirichlet_curve_kernel(7, 3, float(x[i]), float(t[i]))
-        assert vals[i] == pytest.approx(want, abs=1e-10)
+def _exact_curve_sum(coeff, d, x, t):
+    """(values, error bounds) of sum_n a_n e(phi_n) at every point, with phi_n =
+    n x + n^d t reduced mod 1 in rational arithmetic on the float inputs.
+
+    The bound allows, per mode, the rounding of n x and, for float t, of
+    n^d t (|p| 2^-53 each, in cycles), a few ulps for the reduction, the
+    2 pi scaling, cos/sin and the oracle's own phase, and one ulp of
+    sum |a_n| per mode for the summation.
+    """
+    N = len(coeff) // 2
+    modes = [(k - N, complex(coeff[k])) for k in np.flatnonzero(coeff).tolist()]
+    mass = sum(abs(a) for _, a in modes)
+    values, bounds = [], []
+    for i, xi in enumerate(np.asarray(x).tolist()):
+        ti = t if isinstance(t, Fraction) else float(t[i])
+        total, err = 0j, len(modes) * mass * ULP
+        for n, a in modes:
+            phase = (Fraction(xi) * n + Fraction(ti) * n**d) % 1
+            total += a * cmath.exp(2j * math.pi * float(phase))
+            rounded = abs(n * xi) + (0.0 if isinstance(t, Fraction) else abs(n**d * ti))
+            err += abs(a) * 2 * math.pi * (rounded + 4) * ULP
+        values.append(total)
+        bounds.append(err)
+    return np.array(values), np.array(bounds)
+
+
+def _single_mode(n, N=256):
+    a = np.zeros(2 * N + 1)
+    a[n + N] = 1.0
+    return a
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    modes = (-256, -255, -97, -2, -1, 0, 1, 2, 97, 255, 256)
+    cases = {}
+    for d in (3, 5):
+        x, t = rng.random(25), rng.random(25)
+        cases[f"single-mode-d{d}-float-t"] = [(_single_mode(n), d, x, t) for n in modes]
+        arcs = minor_arc_points(6, d, 2, seed=d)
+        cases[f"single-mode-d{d}-fraction-t"] = [(_single_mode(n), d, x, ft)
+                                                 for n in modes for ft, _, _ in arcs]
+    # the inputs of the two tests that compared curve_sum with a scalar kernel loop
+    cases["kernel-N7-d3"] = [(np.ones(2 * 7 + 1), 3, np.array([0.21, 0.9]),
+                              np.array([0.47, 0.05]))]
+    rng = np.random.default_rng(3)
+    x = rng.random(40)
+    cases["kernel-grid-N12-d3"] = [(np.ones(2 * 12 + 1), 3, x, rng.random(40))]
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_curve_sum_matches_exact_phases(case):
+    for coeff, d, x, t in ORACLE_CASES[case]:
+        got = kernels.curve_sum(coeff, d, x, t)
+        want, bound = _exact_curve_sum(coeff, d, x, t)
+        assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / bound)
+
+
+@pytest.mark.parametrize("d,N", [(5, 1552), (7, 190)])
+def test_curve_sum_float_t_guard_boundary(d, N):
+    # N^d < 2^53 <= (N+1)^d: a float t evaluates at N and raises one mode later
+    x, t = np.array([0.3, 0.8]), np.array([0.7, 0.1])
+    vals = kernels.curve_sum(np.ones(2 * N + 1), d, x, t)
+    assert np.all(np.isfinite(vals)) and np.all(np.abs(vals) <= 2 * N + 1)
+    with pytest.raises(BandCapExceeded, match=r"2\^53"):
+        kernels.curve_sum(np.ones(2 * N + 3), d, x, t)
+    # a Fraction t is reduced exactly at any n
+    coeff = _single_mode(N + 1, N + 1)
+    got = kernels.curve_sum(coeff, d, x, Fraction(7, 10))
+    want, bound = _exact_curve_sum(coeff, d, x, Fraction(7, 10))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_curve_sum_validates_shapes():

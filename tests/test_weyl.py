@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from dispersive_lab.counting import mobius_phi_sieve
-from dispersive_lab.kernels import curve_sum
+from dispersive_lab.kernels import BandCapExceeded, curve_sum
 from dispersive_lab.weyl import (
     BumpSpec,
     KernelDecomposition,
@@ -14,7 +15,6 @@ from dispersive_lab.weyl import (
     RationalApprox,
     build_phi,
     decompose_kernel,
-    dirichlet_curve_kernel,
     minor_arc_points,
     phi_hat_max_scan,
     rational_approx,
@@ -79,13 +79,25 @@ def test_weyl_degree_guard():
         weyl_sum(5, 3, 0.1, (0.0, 0.0, 0.0, 1.0))
 
 
+def test_weyl_sum_float_guard_and_exact_fraction():
+    # 1553^5 is past 2^53: a float t raises, a Fraction t is still reduced exactly
+    with pytest.raises(BandCapExceeded, match=r"2\^53"):
+        weyl_sum(1553, 5, 0.75)
+    want = sum(cmath.exp(2j * math.pi * (3 * n**5 % 4) / 4) for n in range(1, 1554))
+    assert abs(weyl_sum(1553, 5, Fraction(3, 4)) - want) < 1e-11
+
+
+def _kernel(N, d, x, t):
+    return complex(curve_sum(np.ones(2 * N + 1), d, np.array([x]), np.array([t]))[0])
+
+
 def test_kernel_at_origin():
-    assert dirichlet_curve_kernel(8, 3, 0.0, 0.0) == pytest.approx(17.0)
+    assert _kernel(8, 3, 0.0, 0.0) == pytest.approx(17.0)
 
 
 def test_kernel_conjugate_symmetry():
-    v1 = dirichlet_curve_kernel(6, 3, 0.31, 0.77)
-    v2 = dirichlet_curve_kernel(6, 3, -0.31, -0.77)
+    v1 = _kernel(6, 3, 0.31, 0.77)
+    v2 = _kernel(6, 3, -0.31, -0.77)
     assert v1 == pytest.approx(v2.conjugate(), abs=1e-12)
 
 
@@ -96,18 +108,8 @@ def test_kernel_matches_weyl_assembly():
     plus = weyl_sum(N, d, t, (0.0, x))
     minus = weyl_sum(N, d, -t, (0.0, -x))
     assembled = plus + minus + 1.0
-    direct = dirichlet_curve_kernel(N, d, x, t)
+    direct = _kernel(N, d, x, t)
     assert abs(assembled - direct) < 1e-10
-
-
-def test_kernel_grid_matches_scalar():
-    rng = np.random.default_rng(3)
-    x = rng.random(40)
-    t = rng.random(40)
-    grid = curve_sum(np.ones(2 * 12 + 1), 3, x, t)
-    for i in range(0, 40, 7):
-        assert grid[i] == pytest.approx(
-            dirichlet_curve_kernel(12, 3, float(x[i]), float(t[i])), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
