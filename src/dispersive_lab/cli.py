@@ -164,6 +164,8 @@ def _run_levelset(cfg, out):
 
 
 def _run_weyl(cfg, out):
+    if cfg["arcs"] == 1:
+        raise ConfigError("arcs must be 0 (no dump) or >= 2, got 1")
     d = cfg["d"]
     rows = []
     for N in cfg["N"]:
@@ -285,8 +287,7 @@ def _run_gauge_check(cfg, out):
     v = states[-1].trajectory
     if isinstance(v, HarmonicTrajectory):
         times = kdv.picard_times(cfg["delta"], cfg["time_samples"])
-        v = kdv.SampledTrajectory(v.convention, times, cfg["band_cap"],
-                                  v.coefficients(times, cfg["band_cap"]))
+        v = kdv.SampledTrajectory(times, cfg["band_cap"], v.coefficients(times, cfg["band_cap"]))
     u, theta = kdv.gauge_transform(v, k)
     spec = kdv.NonlinearitySpec(p1=p1)
     with open(os.path.join(out, "gauge.json"), "w") as fh:

@@ -55,8 +55,6 @@ def u_p2() -> NonlinearitySpec:
 
 def linear_flow(phi: FourierSeries, t: float) -> FourierSeries:
     """e^{-t d_x^5} phi: multiplies mode n by e^{-i n^5 t}; an H^s isometry."""
-    if phi.convention is not TorusConvention.TWO_PI:
-        raise ValueError("the flow lives on the 2-pi torus")
     return FourierSeries(
         phi.convention,
         {n: c * cmath.exp(-1j * dispersion(n) * t) for n, c in phi.coeff.items()},
@@ -64,8 +62,6 @@ def linear_flow(phi: FourierSeries, t: float) -> FourierSeries:
 
 
 def flow_trajectory(phi: FourierSeries) -> HarmonicTrajectory:
-    if phi.convention is not TorusConvention.TWO_PI:
-        raise ValueError("the flow lives on the 2-pi torus")
     return HarmonicTrajectory(
         phi.convention, {(n, 0, -dispersion(n)): c for n, c in phi.coeff.items()}
     )
@@ -161,15 +157,20 @@ def duhamel(w: HarmonicTrajectory, horizon: float = 1.0) -> HarmonicTrajectory:
             # e^{-i n^5 t} * t^p e^{i freq t}: freq = mu gives back e^{i lam t}
             rows.append((n, p, freq - disp, -c * val))
     n, p, lam, c = zip(*rows) if rows else ((),) * 4
-    return HarmonicTrajectory.from_columns(w.convention, n, p, lam, c, real)
+    return HarmonicTrajectory.from_columns(n, p, lam, c, real)
 
 
 def first_iterate(phi: FourierSeries, spec: NonlinearitySpec,
-                  band_cap: int = DEFAULT_BAND_CAP, horizon: float = 1.0) -> HarmonicTrajectory:
-    """Linear flow plus Duhamel of the nonlinearity of the free evolution."""
+                  band_cap: int = DEFAULT_BAND_CAP) -> HarmonicTrajectory:
+    """Linear flow plus Duhamel of the nonlinearity of the free evolution.
+
+    Every frequency of the forcing is an integer (flow keys -n^5 and their
+    sums), so mu = lambda + n^5 is 0 or at least 1 in modulus, and every
+    Duhamel horizon >= 1 integrates it the same way.
+    """
     u0 = flow_trajectory(phi)
     w = nonlinear_term(u0, spec, band_cap)
-    return u0 + duhamel(w, horizon)
+    return u0 + duhamel(w)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ def illposedness_scan(spec: NonlinearitySpec, s: float, eps: float, t: float,
     responses, fulls, ratios = [], [], []
     for N in N_list:
         phi = two_mode_data(N, s, eps)
-        u1 = first_iterate(phi, spec, horizon=max(1.0, 2 * t))
+        u1 = first_iterate(phi, spec)
         u0 = flow_trajectory(phi)
         inc = (u1 - u0).at_time(t)
         responses.append(h_s_norm(inc, s))
@@ -235,7 +236,6 @@ def illposedness_scan(spec: NonlinearitySpec, s: float, eps: float, t: float,
 class SampledTrajectory:
     """Mode coefficients on a Simpson time grid: coeffs[n + band, m] at times[m]."""
 
-    convention: TorusConvention
     times: np.ndarray
     band: int
     coeffs: np.ndarray
@@ -344,7 +344,7 @@ def _sampled_duhamel(phi: FourierSeries, w_frames: np.ndarray, times: np.ndarray
     J = _cumulative_simpson(integrand, times)
     phi_vec = np.array([phi[n] for n in range(-band, band + 1)], dtype=np.complex128)
     coeffs = np.conj(phase) * (phi_vec[:, None] - J)
-    return SampledTrajectory(phi.convention, times, band, coeffs)
+    return SampledTrajectory(times, band, coeffs)
 
 
 def _frames_at(u, times: np.ndarray, band: int) -> np.ndarray:
@@ -431,8 +431,7 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
         if isinstance(u_prev, HarmonicTrajectory) and (
                 u_prev.term_count() > TERM_CAP
                 or _nonlinear_work_estimate(u_prev.term_count(), spec) > WORK_CAP):
-            u_prev = SampledTrajectory(u_prev.convention, times, band_cap,
-                                       u_prev.coefficients(times, band_cap))
+            u_prev = SampledTrajectory(times, band_cap, u_prev.coefficients(times, band_cap))
         if isinstance(u_prev, HarmonicTrajectory):
             w = nonlinear_term(u_prev, spec, band_cap=4 * band_cap)
             w, _ = w.truncated(band_cap)
@@ -473,7 +472,7 @@ def gauge_transform(v: SampledTrajectory, k: int):
     theta = gauge_shift(v, k)
     n_idx = np.arange(-v.band, v.band + 1)
     shifted = v.coeffs * np.exp(-1j * n_idx[:, None] * theta[None, :])
-    return SampledTrajectory(v.convention, v.times, v.band, shifted), theta
+    return SampledTrajectory(v.times, v.band, shifted), theta
 
 
 def residual(u: SampledTrajectory, spec: NonlinearitySpec) -> float:

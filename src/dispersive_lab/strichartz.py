@@ -16,7 +16,7 @@ import numpy as np
 from . import counting
 from .counting import BudgetExceededError, SystemSpec
 from .kernels import curve_sum
-from .norms import TimeWindow, xsb_norm
+from .norms import TWO_PI, TimeWindow, xsb_norm
 from .torus import HarmonicTrajectory
 
 SAMPLE_CHUNK = 250_000  # level-set points drawn (x, then t) per curve_sum call
@@ -368,10 +368,9 @@ def verify_l4_weighted_bound(fhat: np.ndarray, d: int):
 
 
 def _trajectory_values(u: HarmonicTrajectory, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    w = u.convention.wavenumber_factor
     out = np.zeros(len(x), dtype=np.complex128)
     for n, j, lam, c in u.rows():
-        out += c * t**j * np.exp(1j * (w * n * x + lam * t))
+        out += c * t**j * np.exp(1j * (n * x + lam * t))
     return out
 
 
@@ -379,12 +378,11 @@ def local_l4_norm(u: HarmonicTrajectory, window: TimeWindow, samples: int = 200_
                   seed: int = 0) -> float:
     """Monte Carlo ||psi_delta u||_{L^4(T x R)} over the window support."""
     rng = np.random.default_rng(seed)
-    period = u.convention.period
-    x = rng.random(samples) * period
+    x = rng.random(samples) * TWO_PI
     t = (rng.random(samples) * 4.0 - 2.0) * window.delta
     vals = _trajectory_values(u, x, t) * window.psi_array(t)
     mean4 = float(np.mean(np.abs(vals) ** 4))
-    return (mean4 * period * 4.0 * window.delta) ** 0.25
+    return (mean4 * TWO_PI * 4.0 * window.delta) ** 0.25
 
 
 def verify_embeddings(trials, window: TimeWindow, samples: int = 200_000,

@@ -1,11 +1,12 @@
-"""Fourier representations of periodic functions on the two torus conventions.
+"""Fourier representations of periodic functions on the 2 pi torus.
 
-Two normalizations are named here and never mixed implicitly:
-
-* ``TWO_PI`` -- period 2 pi, basis e^{i n x}; used by the PDE side.
-* ``UNIT``  -- period 1, basis e^{2 pi i n x}; no computation uses it, and
-  the PDE side refuses it. Counting, Weyl sums and level sets work on the
-  unit torus too, but on plain coefficient arrays, not on these classes.
+Every function here lives on the torus of period 2 pi with basis e^{i n x},
+so mode n has wavenumber n: the torus on which the paper poses fifth-order
+KdV. Counting, Weyl sums and level sets work on plain coefficient arrays,
+not on these classes. ``TorusConvention`` names that one torus. It stays as
+the constructors' leading argument and as the ``"convention": "two_pi"``
+field of ``HarmonicTrajectory.to_json``, so existing callers and saved
+trajectories keep their form; any other value raises ``ValueError``.
 
 ``FourierSeries`` is a band-limited spatial slice; ``HarmonicTrajectory``
 is a finite sum of terms c * e^{inx} * t^j * e^{i lambda t}, which is
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -44,34 +44,13 @@ DEFAULT_BAND_CAP = 4096
 _BLOCK_CELLS = 1 << 15  # (term, time) cells per block of ``coefficients``
 
 
-class ConventionMismatch(ValueError):
-    """Raised on arithmetic between objects with different torus conventions."""
-
-
 class TorusConvention(Enum):
-    UNIT = "unit"      # period 1, basis e^{2 pi i n x}
     TWO_PI = "two_pi"  # period 2 pi, basis e^{i n x}
-
-    @property
-    def wavenumber_factor(self) -> float:
-        """Multiplier w such that mode n has spatial frequency w*n."""
-        return 2.0 * math.pi if self is TorusConvention.UNIT else 1.0
-
-    @property
-    def period(self) -> float:
-        return 1.0 if self is TorusConvention.UNIT else 2.0 * math.pi
 
 
 def bracket(x: float) -> float:
     """Japanese bracket <x> = 1 + |x|."""
     return 1.0 + abs(x)
-
-
-def _check_same_convention(a, b):
-    if a.convention is not b.convention:
-        raise ConventionMismatch(
-            f"mixed torus conventions: {a.convention.value} vs {b.convention.value}"
-        )
 
 
 @dataclass(frozen=True)
@@ -83,6 +62,7 @@ class FourierSeries:
     band: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        TorusConvention(self.convention)  # any other torus raises ValueError
         clean = {int(n): complex(c) for n, c in self.coeff.items() if c != 0}
         object.__setattr__(self, "coeff", clean)
         b = max((abs(n) for n in clean), default=0)
@@ -94,61 +74,21 @@ class FourierSeries:
     def __getitem__(self, n: int) -> complex:
         return self.coeff.get(n, 0j)
 
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        """The trajectory sum at t = 0."""
-        return (HarmonicTrajectory.from_series(self) + HarmonicTrajectory.from_series(other)
-                ).at_time(0.0)
-
-    def __sub__(self, other: "FourierSeries") -> "FourierSeries":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, alpha: complex) -> "FourierSeries":
-        return FourierSeries(self.convention, {n: alpha * c for n, c in self.coeff.items()})
-
     def product(self, other: "FourierSeries", band_cap: int = DEFAULT_BAND_CAP) -> "FourierSeries":
         """Exact spectral product (band(f)+band(g), no aliasing): the trajectory product at t = 0."""
         return HarmonicTrajectory.from_series(self).product(
             HarmonicTrajectory.from_series(other), band_cap).at_time(0.0)
 
-    def derivative(self) -> "FourierSeries":
-        """Spatial derivative: coeff(n) -> i*w*n*coeff(n) with w the wavenumber factor."""
-        w = self.convention.wavenumber_factor
-        return FourierSeries(self.convention, {n: 1j * w * n * c for n, c in self.coeff.items()})
-
-    def truncated(self, band: int) -> tuple["FourierSeries", float]:
-        """Drop modes with |n| > band; returns (truncated series, dropped l2 mass)."""
-        kept = {n: c for n, c in self.coeff.items() if abs(n) <= band}
-        dropped = math.sqrt(sum(abs(c) ** 2 for n, c in self.coeff.items() if abs(n) > band))
-        return FourierSeries(self.convention, kept, band=band), dropped
-
     def evaluate(self, x) -> complex:
-        w = self.convention.wavenumber_factor
-        return sum(c * cmath.exp(1j * w * n * x) for n, c in self.coeff.items())
-
-    def l2_norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeff.values()))
+        return sum(c * cmath.exp(1j * n * x) for n, c in self.coeff.items())
 
     def is_real_symmetric(self) -> bool:
         """True iff coeff(-n) == conj(coeff(n)) exactly."""
         return HarmonicTrajectory.from_series(self).is_real_symmetric()
 
-    def to_json(self) -> str:
-        records = [
-            {"n": n, "re": c.real, "im": c.imag}
-            for n, c in sorted(self.coeff.items())
-        ]
-        return json.dumps({"convention": self.convention.value, "coeff": records})
-
-    @staticmethod
-    def from_json(text: str) -> "FourierSeries":
-        data = json.loads(text)
-        conv = TorusConvention(data["convention"])
-        coeff = {int(r["n"]): complex(r["re"], r["im"]) for r in data["coeff"]}
-        return FourierSeries(conv, coeff)
-
 
 class HarmonicTrajectory:
-    """Finite sum of terms c * e^{i w n x} * t^j * e^{i lambda t}.
+    """Finite sum of terms c * e^{i n x} * t^j * e^{i lambda t}.
 
     Terms are four columns ``n``, ``j`` (int64), ``lam`` (float64) and ``c``
     (complex128), sorted by the key (n, j, lambda), with equal keys merged by
@@ -160,21 +100,24 @@ class HarmonicTrajectory:
     it. Dispersion frequencies n^5 are exact for |n| <= 1552.
     """
 
+    convention = TorusConvention.TWO_PI
+
     def __init__(self, convention: TorusConvention, terms: dict | None = None):
         """Sum of ``terms``, a map (n, j, lambda) -> complex amplitude."""
+        TorusConvention(convention)  # any other torus raises ValueError
         terms = terms or {}
         n, j, lam = zip(*terms) if terms else ((), (), ())
-        self._assign(convention, n, j, lam, list(terms.values()))
+        self._assign(n, j, lam, list(terms.values()))
 
     @classmethod
-    def from_columns(cls, convention, n, j, lam, c, real: bool = False) -> "HarmonicTrajectory":
+    def from_columns(cls, n, j, lam, c, real: bool = False) -> "HarmonicTrajectory":
         """Sum of the rows (n, j, lam, c); ``real`` applies the canonical-key
         rule of the module docstring."""
         out = cls.__new__(cls)
-        out._assign(convention, n, j, lam, c, real)
+        out._assign(n, j, lam, c, real)
         return out
 
-    def _assign(self, convention, n, j, lam, c, real=False):
+    def _assign(self, n, j, lam, c, real=False):
         n, j = np.asarray(n, dtype=np.int64), np.asarray(j, dtype=np.int64)
         lam, c = np.asarray(lam, dtype=float), np.asarray(c, dtype=complex)
         if real:
@@ -192,7 +135,6 @@ class HarmonicTrajectory:
             raise BandCapExceeded(
                 f"frequency {lam[big[0]]:.17g} of mode {n[big[0]]} is not below 2^53, "
                 "where float64 stops holding integers exactly")
-        self.convention = convention
         self.n, self.j, self.lam, self.c = n[kept], j[kept], lam[kept], c[kept]
 
     @staticmethod
@@ -220,45 +162,41 @@ class HarmonicTrajectory:
         return len(self.c)
 
     def __add__(self, other: "HarmonicTrajectory") -> "HarmonicTrajectory":
-        _check_same_convention(self, other)
         return HarmonicTrajectory.from_columns(
-            self.convention, *(np.concatenate(pair) for pair in zip(self.columns, other.columns)))
+            *(np.concatenate(pair) for pair in zip(self.columns, other.columns)))
 
     def __sub__(self, other: "HarmonicTrajectory") -> "HarmonicTrajectory":
         return self + other.scaled(-1.0)
 
     def scaled(self, alpha: complex) -> "HarmonicTrajectory":
-        return HarmonicTrajectory.from_columns(self.convention, self.n, self.j, self.lam,
-                                               alpha * self.c)
+        return HarmonicTrajectory.from_columns(self.n, self.j, self.lam, alpha * self.c)
 
     def product(self, other: "HarmonicTrajectory", band_cap: int = DEFAULT_BAND_CAP) -> "HarmonicTrajectory":
         """Exact product: every pair of terms, summed by key. Real-symmetric
         factors give an exactly real-symmetric product (the canonical-key
         rule of the module docstring)."""
-        _check_same_convention(self, other)
         if self.band + other.band > band_cap:
             raise BandCapExceeded(
                 f"product band {self.band + other.band} exceeds cap {band_cap}"
             )
         real = self.is_real_symmetric() and other.is_real_symmetric()
         return HarmonicTrajectory.from_columns(
-            self.convention, np.add.outer(self.n, other.n).ravel(),
-            np.add.outer(self.j, other.j).ravel(), np.add.outer(self.lam, other.lam).ravel(),
+            np.add.outer(self.n, other.n).ravel(), np.add.outer(self.j, other.j).ravel(),
+            np.add.outer(self.lam, other.lam).ravel(),
             np.multiply.outer(self.c, other.c).ravel(), real)
 
     def x_derivative(self) -> "HarmonicTrajectory":
         return self.x_derivative_power(1)
 
     def x_derivative_power(self, order: int) -> "HarmonicTrajectory":
-        w = self.convention.wavenumber_factor
-        return HarmonicTrajectory.from_columns(self.convention, self.n, self.j, self.lam,
-                                               (1j * w * self.n) ** order * self.c)
+        return HarmonicTrajectory.from_columns(self.n, self.j, self.lam,
+                                               (1j * self.n) ** order * self.c)
 
     def t_derivative(self) -> "HarmonicTrajectory":
         """Exact d/dt: t^j e^{i lam t} -> j t^{j-1} e^{i lam t} + i lam t^j e^{i lam t}."""
         s = self.j > 0
         return HarmonicTrajectory.from_columns(
-            self.convention, np.concatenate((self.n, self.n[s])),
+            np.concatenate((self.n, self.n[s])),
             np.concatenate((self.j, self.j[s] - 1)), np.concatenate((self.lam, self.lam[s])),
             np.concatenate((1j * self.lam * self.c, self.j[s] * self.c[s])))
 
@@ -299,8 +237,7 @@ class HarmonicTrajectory:
     def truncated(self, band: int) -> tuple["HarmonicTrajectory", float]:
         kept = np.abs(self.n) <= band
         dropped = float(np.sqrt(np.sum(np.abs(self.c[~kept]) ** 2)))
-        return HarmonicTrajectory.from_columns(
-            self.convention, *(col[kept] for col in self.columns)), dropped
+        return HarmonicTrajectory.from_columns(*(col[kept] for col in self.columns)), dropped
 
     def is_real_symmetric(self) -> bool:
         """True iff every key (n, j, lambda) has its mirror (-n, j, -lambda)
@@ -321,6 +258,5 @@ class HarmonicTrajectory:
     @staticmethod
     def from_json(text: str) -> "HarmonicTrajectory":
         data = json.loads(text)
-        conv = TorusConvention(data["convention"])
-        return HarmonicTrajectory(conv, {(r["n"], r["j"], r["lam"]): complex(r["re"], r["im"])
-                                         for r in data["terms"]})
+        return HarmonicTrajectory(data["convention"], {
+            (r["n"], r["j"], r["lam"]): complex(r["re"], r["im"]) for r in data["terms"]})

@@ -97,6 +97,8 @@ BAD_CONFIGS = [
     ("embeddings", ["samples=0"], "samples"),
     ("strichartz", ["strategies=foo"], "strategies"),
     ("strichartz", ["strategies="], "strategies"),
+    # arcs is 0 (no dump) or a Farey level Q >= 2
+    ("weyl", ["arcs=1"], "arcs"),
     # lambda^(2^d+2) of the decay ratio leaves float64 (kernel case: 2N = 240)
     ("levelset", ["d=7", "N=120"], "overflows"),
     # 1553^5 is past 2^53, so curve_sum refuses a float t

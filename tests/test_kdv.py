@@ -129,9 +129,9 @@ def test_picard_rejects_band_cap_past_exact_dispersion():
 
 
 def test_flow_requires_two_pi():
-    phi = FourierSeries(TorusConvention.UNIT, {1: 1.0})
+    # the flow lives on the 2 pi torus: a series tagged with another is refused
     with pytest.raises(ValueError):
-        linear_flow(phi, 0.1)
+        linear_flow(FourierSeries("unit", {1: 1.0}), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +451,7 @@ def test_cumulative_simpson_integrates_quadratics(T):
 
 
 def _sampled(v, times):
-    return SampledTrajectory(TP, times, v.band, v.coefficients(times, v.band))
+    return SampledTrajectory(times, v.band, v.coefficients(times, v.band))
 
 
 def test_gauge_zero_mean_power():

@@ -6,14 +6,12 @@ import pytest
 
 from dispersive_lab.torus import (
     BandCapExceeded,
-    ConventionMismatch,
     FourierSeries,
     HarmonicTrajectory,
     TorusConvention,
     bracket,
 )
 
-UNIT = TorusConvention.UNIT
 TWO_PI = TorusConvention.TWO_PI
 
 
@@ -42,12 +40,12 @@ def brute_product(u, v):
     return out
 
 
-def random_series(rng, band, convention=TWO_PI):
+def random_series(rng, band):
     coeff = {
         n: complex(rng.standard_normal(), rng.standard_normal())
         for n in range(-band, band + 1)
     }
-    return FourierSeries(convention, coeff)
+    return FourierSeries(TWO_PI, coeff)
 
 
 def test_bracket():
@@ -62,22 +60,9 @@ def test_single_mode_product():
 
 
 def test_derivative_two_pi():
+    # mode n has wavenumber n on the 2 pi torus
     f = FourierSeries(TWO_PI, {5: 1.0})
-    assert f.derivative()[5] == 5j
-
-
-def test_derivative_unit_convention():
-    f = FourierSeries(UNIT, {3: 1.0})
-    assert f.derivative()[3] == pytest.approx(2j * math.pi * 3)
-
-
-def test_convention_mismatch_rejected():
-    f = FourierSeries(UNIT, {1: 1.0})
-    g = FourierSeries(TWO_PI, {1: 1.0})
-    with pytest.raises(ConventionMismatch):
-        f.product(g)
-    with pytest.raises(ConventionMismatch):
-        _ = f + g
+    assert HarmonicTrajectory.from_series(f).x_derivative().terms == {(5, 0, 0.0): 5j}
 
 
 def test_band_cap():
@@ -118,23 +103,23 @@ def test_reality_preserved_exactly():
         f = FourierSeries(TWO_PI, coeff)
         assert f.is_real_symmetric()
         assert f.product(f).is_real_symmetric()
-        assert f.derivative().is_real_symmetric()
-
-
-def test_series_json_roundtrip_exact():
-    rng = np.random.default_rng(11)
-    f = random_series(rng, 6, convention=UNIT)
-    g = FourierSeries.from_json(f.to_json())
-    assert g.convention is UNIT
-    assert g.coeff == f.coeff
-    # tagged with the convention
-    assert json.loads(f.to_json())["convention"] == "unit"
+        assert HarmonicTrajectory.from_series(f).x_derivative().is_real_symmetric()
 
 
 def test_trajectory_json_roundtrip_exact():
     u = HarmonicTrajectory(TWO_PI, {(2, 1, -32.0): 1.5 - 2j, (0, 0, 0.25): 1j})
     v = HarmonicTrajectory.from_json(u.to_json())
     assert v.terms == u.terms
+    # tagged with the one torus
+    assert json.loads(u.to_json())["convention"] == "two_pi"
+
+
+def test_trajectory_json_from_another_torus_rejected():
+    # a record tagged with another torus must not load onto the 2 pi one
+    record = json.loads(HarmonicTrajectory(TWO_PI, {(1, 0, -1.0): 1.0}).to_json())
+    record["convention"] = "unit"
+    with pytest.raises(ValueError):
+        HarmonicTrajectory.from_json(json.dumps(record))
 
 
 def test_trajectory_product_merges_terms():
