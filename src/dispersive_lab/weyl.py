@@ -4,11 +4,13 @@ The circle-method side of the lab: a smooth bump is planted on the Farey
 arcs [a/q + 1/(200 q^2), a/q + 1/(100 q^2)] for q in [Q, 5Q], its Fourier
 coefficients are evaluated through Ramanujan sums (O(Q) work per
 coefficient instead of an O(Q^2) Farey sum) by one batched evaluator,
-``PhiData.phi_hat_many``, and the Dirichlet curve kernel
-K_N splits into a bounded major-arc part and a part with uniformly small
-Fourier coefficients vanishing on the curve. The bump's real-line
-transform is read from a table that a 256-interval trapezoid rule builds
-on demand, out to the largest argument asked for.
+``PhiData.phi_hat_many``. Each c_q(k) is the divisor sum over delta | (q, k)
+of delta mu(q/delta): every divisor of k adds delta mu(j) at its multiples
+q = j delta in one scatter, with no gcd per (k, q) cell. The Dirichlet
+curve kernel K_N splits into a bounded major-arc part and a part with
+uniformly small Fourier coefficients vanishing on the curve. The bump's
+real-line transform is read from a table that a 256-interval trapezoid
+rule builds on demand, out to the largest argument asked for.
 """
 
 from __future__ import annotations
@@ -446,8 +448,10 @@ def decompose_kernel(N: int, d: int, Q) -> KernelDecomposition:
 
 
 def primes_in(lo: int, hi: int):
-    _, _, spf = mobius_phi_sieve(max(1_000_000, hi + 1))
-    return [int(p) for p in range(max(2, lo), hi + 1) if spf[p] == p]
+    """Primes in [lo, hi], read off the shared sieve (its default limit covers hi <= 10^6)."""
+    lo = max(2, lo)
+    _, _, spf = mobius_phi_sieve(max(DEFAULT_SIEVE_LIMIT, hi))
+    return (lo + np.flatnonzero(spf[lo:hi + 1] == np.arange(lo, hi + 1))).tolist()
 
 
 def minor_arc_points(N: int, d: int, count: int, seed: int = 0):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dispersive_lab import counting, weyl
 from dispersive_lab.counting import (
     DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
@@ -303,6 +304,98 @@ def test_ramanujan_matches_direct_sum_sampled():
         direct = ramanujan_sum_direct(q, n)
         assert abs(direct.imag) < 1e-9
         assert abs(ramanujan_sum(q, n) - direct.real) < 1e-9
+
+
+def _ramanujan_gcd_oracle(q, n):
+    """c_q(n) = mu(q/g) phi(q) / phi(q/g) with g = gcd(q, n): the Moebius quotient form.
+
+    Independent of the library's divisor scatter: one np.gcd per (q, n) cell.
+    """
+    mu, phi, _ = mobius_phi_sieve()
+    q = np.asarray(q, dtype=np.int64)
+    qg = q // np.gcd(q, np.asarray(n, dtype=np.int64))
+    return mu[qg] * (phi[q] // phi[qg])
+
+
+def _assert_rows_match_oracle(Q, ks):
+    q = np.arange(Q, 5 * Q + 1, dtype=np.int64)
+    rows = max(1, weyl._BLOCK_CELLS // len(q))  # phi_hat_many's blocks
+    for i in range(0, len(ks), rows):
+        kb = ks[i:i + rows, None]
+        assert np.array_equal(ramanujan_sum(q, kb), _ramanujan_gcd_oracle(q, kb)), (Q, i)
+
+
+def test_ramanujan_sum_bit_identical_to_gcd_oracle():
+    # the dense window k = 0..4Q (at least 0..5000, so that small Q fills
+    # blocks of many rows, as phi_hat_dense does), negative k, and k past
+    # (5Q)^2, where every divisor of k in range pairs with a co-divisor beyond
+    # it; Q = 16384's window is 4.3e9 cells, so it is checked at its start
+    # and at Q, 2Q, 4Q
+    rng = np.random.default_rng(13)
+    for Q in (4, 16, 64, 256, 1024, 16384):
+        window = (np.arange(0, max(4 * Q, 5000) + 1) if Q <= 1024 else
+                  np.concatenate([np.arange(m * Q - 24, m * Q + 24) for m in (0, 1, 2, 4)]))
+        top = (5 * Q) ** 2
+        ks = np.concatenate((window, -window[::7],
+                             top + rng.integers(1, 10**7, 24), top * np.array([2, 6, 12]),
+                             -top - rng.integers(1, 10**7, 8)))
+        _assert_rows_match_oracle(Q, ks)
+
+
+def test_ramanujan_sum_broadcasts_like_gcd_oracle():
+    # moduli that are not a contiguous range, repeated and zero n, and the
+    # broadcast shapes: one row per entry of n, gathered at its own q
+    q = np.array([1, 7, 12, 30, 210, 997, 1000])
+    n = np.array([0, 0, 5, -5, 12, 60, 210, 999, 10**6, 2 * 3 * 5 * 7 * 11 * 13 * 997])
+    for qq, nn in ((q[:, None], n[None, :]), (q[None, :], n[:, None]), (q, n[3]),
+                   (q[3], n), (np.array([[2, 3], [4, 6]]), np.array([[6], [0]])),
+                   (q[:0], n[:, None]), (q[:, None], n[:0])):
+        got = ramanujan_sum(qq, nn)
+        assert got.shape == np.broadcast_shapes(np.shape(qq), np.shape(nn))
+        assert np.array_equal(got, _ramanujan_gcd_oracle(qq, nn))
+
+
+def test_ramanujan_sum_bit_identical_on_scan_candidates(monkeypatch):
+    # every k that phi_hat_max_scan evaluates at criterion 08's N = 16 and 23
+    seen = []
+    many = weyl.PhiData.phi_hat_many
+    monkeypatch.setattr(weyl.PhiData, "phi_hat_many",
+                        lambda self, ks: seen.append(np.array(ks)) or many(self, ks))
+    for N in (16, 23):
+        seen.clear()
+        weyl.phi_hat_max_scan(weyl.build_phi(N * N), k_limit=2 * N**3)
+        _assert_rows_match_oracle(N * N, seen[0])
+
+
+def test_phi_hat_many_bytes_match_gcd_oracle(monkeypatch):
+    # the same evaluator with c_q(k) from the gcd oracle gives the same bytes
+    rng = np.random.default_rng(17)
+    for Q in (64, 1024):
+        p = weyl.build_phi(Q)
+        ks = np.concatenate((np.arange(-5, 4 * Q + 1), rng.integers(-10**6, 10**6, 64)))
+        got = p.phi_hat_many(ks).tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(weyl, "ramanujan_sum", _ramanujan_gcd_oracle)
+            assert p.phi_hat_many(ks).tobytes() == got, Q
+
+
+def test_divisors_bounded():
+    def listed(ks, top):
+        i, d = counting._divisors(ks, top)
+        return sorted(zip(i.tolist(), d.tolist()))
+
+    def trial(ks, top):
+        return sorted((i, v) for i, k in enumerate(ks)
+                      for v in range(1, top + 1) if k and k % v == 0)
+
+    assert listed([36], 36) == [(0, v) for v in (1, 2, 3, 4, 6, 9, 12, 18, 36)]
+    assert listed([36], 10) == [(0, v) for v in (1, 2, 3, 4, 6, 9)]
+    assert listed([36], 5) == [(0, v) for v in (1, 2, 3, 4)]
+    assert listed([7], 0) == listed([0], 9) == listed([], 9) == []
+    for ks, top in (([0, 1, 2, 12, 49, 360, 997], 20), (list(range(60)), 60), ([1234567], 1000)):
+        assert listed(ks, top) == trial(ks, top), (ks, top)
+    big = 2**20 * 3**15  # the mask stops at top, not at isqrt(big) ~ 4e6
+    assert listed([big], 100) == [(0, v) for v in range(1, 101) if big % v == 0]
 
 
 def test_divisor_count_examples():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dispersive_lab import counting
 from dispersive_lab.counting import mobius_phi_sieve
 from dispersive_lab.kernels import BandCapExceeded, curve_sum
 from dispersive_lab.weyl import (
@@ -17,6 +18,7 @@ from dispersive_lab.weyl import (
     decompose_kernel,
     minor_arc_points,
     phi_hat_max_scan,
+    primes_in,
     rational_approx,
     weyl_sum,
 )
@@ -174,7 +176,13 @@ def test_phi_hat0_formula():
 
 
 def _phi_hat_divisor_oracle(p, ks):
-    """Phi_hat(k) with c_q(k) = sum over delta | (q, k) of delta mu(q/delta), and sum |terms|."""
+    """Phi_hat(k) with c_q(k) = sum over delta | (q, k) of delta mu(q/delta), and sum |terms|.
+
+    This is the same divisor-sum form that ``counting.ramanujan_sum`` now
+    uses, so it checks the evaluator's assembly, not the Ramanujan sums; the
+    independent check of those is the np.gcd Moebius-quotient oracle in
+    test_counting.py (test_ramanujan_sum_bit_identical_to_gcd_oracle).
+    """
     mu = mobius_phi_sieve()[0]
     q = np.arange(p.q_lo, p.q_hi + 1, dtype=np.int64)
     c = np.zeros((len(ks), len(q)), dtype=np.int64)
@@ -300,6 +308,19 @@ def test_minor_arc_points_hypothesis():
         assert q >= 8**2
         assert math.gcd(a, q) == 1
         assert abs(t - Fraction(a, q)) <= Fraction(1, q * q)
+
+
+def test_primes_in_reads_the_default_sieve():
+    def trial(lo, hi):
+        return [p for p in range(max(2, lo), hi + 1)
+                if all(p % f for f in range(2, math.isqrt(p) + 1))]
+
+    mobius_phi_sieve()
+    misses = counting._sieve.cache_info().misses
+    minor_arc_points(800, 3, 5)  # primes up to 10^6: no second sieve
+    assert counting._sieve.cache_info().misses == misses
+    for lo, hi in ((0, 60), (2, 2), (10, 9), (64, 1128), (999_000, 10**6)):
+        assert primes_in(lo, hi) == trial(lo, hi), (lo, hi)
 
 
 def test_phi_max_scan_candidates_match_dense():
