@@ -14,6 +14,13 @@ measure, in the layout ``_plan`` picks for the memory budget: dense 2-D
 arrays, a sum of squares streamed one A-row at a time, or sorted sparse
 keys. Counts are int64 end to end, ``_plan`` refuses keys that would wrap,
 and sums of squares are Python ints, so every reported count is exact.
+
+Unweighted tables are symmetric under n -> -n, which sends (A, B) to
+(-A, (-1)^d B), so half of each is built and the rest copied: dense levels
+(and the streamed top level) are convolved up to the centre row A = 0, and
+for odd d the sparse top level is built up to the centre key (A, B) = (0, 0).
+A solution count then takes twice the squares before the centre plus the
+centre's own. Weighted tables, and sparse tables with even d, are built whole.
 """
 
 from __future__ import annotations
@@ -183,13 +190,16 @@ def _plan(spec: SystemSpec, budget: int, weighted: bool = False, want: str = "ta
     return "dense" if dense_bytes <= budget else "sparse"
 
 
-def _convolved_rows(lower, spec: SystemSpec, weights):
-    """The A-rows of the table one level above the dense ``lower``, in one reused buffer."""
+def _convolved_rows(lower, spec: SystemSpec, weights, stop=None):
+    """A-rows 0 .. stop-1 (default all) of the table one level above the dense ``lower``.
+
+    Every row is yielded in one reused buffer.
+    """
     N, Nd = spec.N, spec.N**spec.d
     deltas = _deltas(spec.d, N)
     rows, cols = lower.shape
     row = np.empty(cols + 2 * Nd, dtype=lower.dtype)
-    for i in range(rows + 2 * N):
+    for i in range(rows + 2 * N if stop is None else stop):
         row[:] = 0
         for n, nd in deltas:
             j = i - (n + N)
@@ -202,27 +212,58 @@ def _convolved_rows(lower, spec: SystemSpec, weights):
 
 
 def _dense_levels(spec: SystemSpec, weights=None):
-    """Dense tables of 1-, 2-, ..., b-tuples in turn; stopping early skips the later levels."""
+    """Dense tables of 1-, 2-, ..., b-tuples in turn; stopping early skips the later levels.
+
+    An unweighted table is symmetric under n -> -n, which sends (A, B) to
+    (-A, (-1)^d B): only the rows up to the centre row A = 0 are convolved,
+    and the rows past it are copies of the rows before it in reverse order,
+    with reversed columns when d is odd. Weighted tables convolve every row.
+    """
     table = np.ones((1, 1), dtype=np.int64 if weights is None else np.complex128)
     for _ in range(spec.b):
         rows, cols = table.shape
         upper = np.empty((rows + 2 * spec.N, cols + 2 * spec.N**spec.d), dtype=table.dtype)
-        for i, row in enumerate(_convolved_rows(table, spec, weights)):
+        half = len(upper) if weights is not None else (len(upper) + 1) // 2
+        for i, row in enumerate(_convolved_rows(table, spec, weights, half)):
             upper[i] = row
+        mirror = upper[:len(upper) - half][::-1]
+        upper[half:] = mirror[:, ::-1] if spec.d % 2 else mirror
         table = upper
         yield table
 
 
-def _build_sparse(spec: SystemSpec, weights, budget: int):
+def _runs(column, stops, shifts):
+    """column[:stop] + shift for each (stop, shift), end to end in one buffer."""
+    out = np.empty(int(stops.sum()), dtype=column.dtype)
+    at = 0
+    for stop, shift in zip(stops.tolist(), shifts.tolist()):
+        np.add(column[:stop], shift, out=out[at:at + stop])
+        at += stop
+    return out
+
+
+def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = True):
+    """Sorted packed keys key = base + A * stride + B of the b-tuple table, and their values.
+
+    Each level adds every delta key to every key of the level below. The
+    pairs are laid out delta-major: delta keys increase, so the sort sees
+    one sorted run per delta. For odd d an unweighted table is symmetric
+    under (A, B) -> (-A, -B), i.e. key -> 2 base - key, so its top level is
+    built to the centre ``base`` only (the zero tuple always lands there, as
+    the last key) and mirrored; ``mirror_top=False`` returns that half. The
+    budget check counts the full expansion, so refusals do not depend on the
+    halving.
+    """
     d, N = spec.d, spec.N
     stride = 2 * spec.b_extent + 1
     delta_keys = np.array([n * stride + nd for n, nd in _deltas(d, N)], dtype=np.int64)
     base = (np.int64(spec.a_extent) * stride + spec.b_extent)
+    halved = weights is None and d % 2 == 1
     if weights is None:
         weights = np.ones(len(delta_keys), dtype=np.int64)
     (keys,), vals = sum_by_key((delta_keys + base,), weights)
     itemsize = 8 + vals.itemsize
-    for _ in range(spec.b - 1):
+    for level in range(2, spec.b + 1):
         if len(keys) * len(delta_keys) * itemsize > budget:
             suggestion = max(1, spec.N // 2)
             raise BudgetExceededError(
@@ -230,8 +271,21 @@ def _build_sparse(spec: SystemSpec, weights, budget: int):
                 f"try N <= {suggestion}",
                 suggested_n=suggestion,
             )
-        (keys,), vals = sum_by_key(((keys[:, None] + delta_keys[None, :]).ravel(),),
-                                   (vals[:, None] * weights[None, :]).ravel())
+        # lower levels expand in full: halved as well they were faster, but their
+        # smaller sorts no longer made glibc trim the heap that earlier tables
+        # left, which then stayed resident under the next large dense table
+        if level < spec.b or not halved:
+            (keys,), vals = sum_by_key(((keys[None, :] + delta_keys[:, None]).ravel(),),
+                                       (vals[None, :] * weights[:, None]).ravel())
+            continue
+        # keys[:stop] + delta are the pairs at or below base; the buffers pass as
+        # temporaries, so sum_by_key frees them once sorted
+        stops = np.searchsorted(keys, base - delta_keys, side="right")
+        (keys,), vals = sum_by_key((_runs(keys, stops, delta_keys),),
+                                   _runs(vals, stops, np.zeros_like(delta_keys)))
+        if mirror_top:
+            keys = np.concatenate((keys, 2 * base - keys[-2::-1]))
+            vals = np.concatenate((vals, vals[-2::-1]))
     return keys, vals
 
 
@@ -275,10 +329,16 @@ def count_S(spec: SystemSpec, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     if spec.b == 1:
         return 2 * spec.N + 1
     if _plan(spec, mem_budget, want="squares") == "streamed":
+        # rows A > 0 mirror rows A < 0: twice the squares before the centre row, plus it
         lower = deque(islice(_dense_levels(spec), spec.b - 1), maxlen=1)[0]
-        return _square_sum(_convolved_rows(lower, spec, None))
-    keys, vals = _build_sparse(spec, None, mem_budget)
-    return CountTable(spec, False, keys=keys, values=vals).sum_of_squared_moduli()
+        rows = _convolved_rows(lower, spec, None, spec.a_extent + 1)
+        head = _square_sum(islice(rows, spec.a_extent))
+        return 2 * head + _square_sum(rows)
+    if spec.d % 2 == 0:
+        return _square_sum([_build_sparse(spec, None, mem_budget)[1]])
+    # counts at keys up to the centre, which comes last; the keys past it mirror them
+    vals = _build_sparse(spec, None, mem_budget, mirror_top=False)[1]
+    return 2 * _square_sum([vals[:-1]]) + int(vals[-1]) ** 2
 
 
 def enumerate_triples(d: int, N: int, A: int, B: int):

@@ -10,6 +10,8 @@ import os
 
 import pytest
 
+from dispersive_lab.counting import BudgetExceededError
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -38,3 +40,20 @@ def test_tiny_dispersive_workload_passes_its_checks(perfbench, tmp_path):
     assert workload.ops
     for op in workload.ops:
         op.check(op.call())
+
+
+def test_tiny_counting_workload_passes_its_checks(perfbench, tmp_path):
+    # every exact count against references.json: a slip in the mirrored builds fails here
+    _, workloads = perfbench
+    with open(os.path.join(PERFBENCH, "references.json")) as fh:
+        references = json.load(fh)
+    workload = workloads.build("counting", "tiny", 7, references, str(tmp_path))
+    refused = []
+    for op in workload.ops:
+        try:
+            result = op.call()
+        except BudgetExceededError:
+            refused.append(op.name)
+            continue
+        op.check(result)
+    assert refused == ["count_S d5 b4 N16"]

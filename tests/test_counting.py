@@ -12,6 +12,7 @@ from dispersive_lab.counting import (
     CountTable,
     Int64OverflowError,
     SystemSpec,
+    _dense_levels,
     _plan,
     check_divisor_property,
     count_S,
@@ -27,16 +28,18 @@ from dispersive_lab.counting import (
 )
 
 
-def brute_force_S(d, b, N):
-    """Exhaustive oracle: enumerate all b-tuples, group signatures, sum squares."""
+def brute_force_table(d, b, N):
+    """Exhaustive oracle: enumerate all b-tuples and group them by signature (A, B)."""
     rng = np.arange(-N, N + 1, dtype=np.int64)
     grids = np.meshgrid(*([rng] * b), indexing="ij")
     A = sum(g.astype(object) for g in grids).ravel()
     B = sum(g.astype(object) ** d for g in grids).ravel()
-    sig = {}
-    for a_val, b_val in zip(A.tolist(), B.tolist()):
-        sig[(a_val, b_val)] = sig.get((a_val, b_val), 0) + 1
-    return sum(v * v for v in sig.values())
+    return collections.Counter(zip(A.tolist(), B.tolist()))
+
+
+def brute_force_S(d, b, N):
+    """Exhaustive oracle: group signatures, sum squares."""
+    return sum(v * v for v in brute_force_table(d, b, N).values())
 
 
 def pair_enumeration_S(d, b, N):
@@ -95,6 +98,54 @@ def test_sparse_and_dense_paths_agree():
     t_dense = power_sum_distribution(spec)
     t_sparse = power_sum_distribution(spec, mem_budget=200_000)
     assert sorted(t_dense.items()) == sorted(t_sparse.items())
+
+
+def test_mirrored_dense_levels_match_tuple_oracle():
+    # rows past the centre are mirror copies; every cell of every level, both parities
+    for d in (2, 3, 4, 5):
+        for b, N in ((3, 2), (2, 3), (4, 1)):
+            for level, table in enumerate(_dense_levels(SystemSpec(d, b, N)), start=1):
+                spec = SystemSpec(d, level, N)
+                expected = np.zeros_like(table)
+                for (A, B), c in brute_force_table(d, level, N).items():
+                    expected[A + spec.a_extent, B + spec.b_extent] = c
+                assert table.shape == expected.shape
+                assert np.array_equal(table, expected), (d, level, N)
+
+
+def test_streamed_even_d_counts_unchanged():
+    # both specs stream their top level; even d mirrors rows without reversing columns
+    for (d, b, N), pinned in (((2, 4, 24), 751_552_497), ((2, 6, 6), 14_042_157_751)):
+        spec = SystemSpec(d, b, N)
+        assert _plan(spec, counting.DEFAULT_MEM_BUDGET, want="squares") == "streamed"
+        assert count_S(spec) == pinned
+        # unit weights build every row: an unmirrored count, exact in float below 2^53
+        ones = np.ones(2 * N + 1)
+        assert round(power_sum_distribution(spec, weights=ones).sum_of_squared_moduli()) == pinned
+
+
+def test_sparse_refusal_counts_the_full_last_level():
+    # odd d builds the sparse top level to the centre only, but budgets it in full
+    spec = SystemSpec(5, 3, 8)
+    L = len(power_sum_distribution(SystemSpec(5, 2, 8)).keys)
+    fits = L * (2 * spec.N + 1) * 16
+    assert count_S(spec, mem_budget=fits) == brute_force_S(5, 3, 8)
+    assert power_sum_distribution(spec, mem_budget=fits).total_mass() == 17**3
+    for build in (count_S, power_sum_distribution):
+        with pytest.raises(BudgetExceededError) as exc:
+            build(spec, mem_budget=fits - 1)
+        assert exc.value.suggested_n == 4
+
+
+def test_odd_d_sums_of_squares_past_int64_stay_exact():
+    # 13^12 tuples: streamed by default, sparse at 4 MiB; both sum twice the
+    # squares before the centre plus the centre's
+    spec = SystemSpec(3, 12, 6)
+    exact = sum(v * v for v in power_sum_distribution(spec).columns()[2].tolist())
+    assert exact > 2**63
+    assert _plan(spec, counting.DEFAULT_MEM_BUDGET, want="squares") == "streamed"
+    assert _plan(spec, 2**22, want="squares") == "sparse"
+    assert count_S(spec) == count_S(spec, mem_budget=2**22) == exact
 
 
 def test_symmetry_odd_d():
