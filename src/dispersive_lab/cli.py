@@ -67,20 +67,24 @@ def _fit_slope(xs, ys):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns a list of produced file names
+# subcommand implementations; each returns a list of produced file names and
+# may add run-dependent figures, such as wall times, to the manifest through
+# ``telemetry``, so that data files stay byte-identical across reruns
 
 
-def _run_count(cfg, out):
+def _run_count(cfg, out, telemetry):
     d, b_list, n_list = cfg["d"], cfg["b"], cfg["N"]
     rows = []
     series = []
+    times = telemetry.setdefault("row_runtime_ms", [])
     for b in b_list:
         svals = []
         for N in n_list:
             t0 = time.perf_counter()
             s_val = counting.count_S(SystemSpec(d, b, N), mem_budget=cfg["mem_budget"])
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append((d, b, N, s_val, ms))
+            times.append({"d": d, "b": b, "N": N,
+                          "runtime_ms": (time.perf_counter() - t0) * 1000.0})
+            rows.append((d, b, N, s_val))
             svals.append(s_val)
             if cfg["table"]:
                 table = counting.power_sum_distribution(
@@ -89,7 +93,7 @@ def _run_count(cfg, out):
         slope = _fit_slope(n_list, svals) if len(n_list) >= 2 else None
         series.append({"label": f"b={b}", "x": n_list, "y": svals, "slope": slope})
     write_csv(os.path.join(out, "count_scan.csv"),
-              ["d", "b", "N", "S", "runtime_ms"], rows)
+              ["d", "b", "N", "S"], rows)
     files = ["count_scan.csv"]
     if cfg["table"]:
         files += [f"table_d{d}_b{b}_N{N}.csv" for b in b_list for N in n_list]
@@ -100,7 +104,7 @@ def _run_count(cfg, out):
     return files
 
 
-def _run_strichartz(cfg, out):
+def _run_strichartz(cfg, out, telemetry):
     d, n_list = cfg["d"], cfg["N"]
     rows = []
     series = []
@@ -131,7 +135,7 @@ def _run_strichartz(cfg, out):
     return files
 
 
-def _run_levelset(cfg, out):
+def _run_levelset(cfg, out, telemetry):
     if len(cfg["N"]) != 1:
         raise ConfigError(f"levelset takes one N, got {cfg['N']}")
     d, N = cfg["d"], cfg["N"][0]
@@ -163,7 +167,7 @@ def _run_levelset(cfg, out):
     return files
 
 
-def _run_weyl(cfg, out):
+def _run_weyl(cfg, out, telemetry):
     if cfg["arcs"] == 1:
         raise ConfigError("arcs must be 0 (no dump) or >= 2, got 1")
     d = cfg["d"]
@@ -187,7 +191,7 @@ def _run_weyl(cfg, out):
     return files
 
 
-def _run_kernel(cfg, out):
+def _run_kernel(cfg, out, telemetry):
     d = cfg["d"]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
@@ -216,7 +220,7 @@ def _run_kernel(cfg, out):
     return ["kernel_scan.csv", "kernel_report.json"]
 
 
-def _run_illposed(cfg, out):
+def _run_illposed(cfg, out, telemetry):
     if cfg["case"] == "p1":
         spec = kdv.u_squared_p1()
         target = 1.0 - 2.0 * cfg["s"]
@@ -249,7 +253,7 @@ def _phi_from_cfg(cfg) -> FourierSeries:
     return FourierSeries(TorusConvention.TWO_PI, {m: cfg["amp"], -m: cfg["amp"]})
 
 
-def _run_solve(cfg, out):
+def _run_solve(cfg, out, telemetry):
     phi = _phi_from_cfg(cfg)
     spec = kdv.u_squared_p1()
     states = kdv.picard_solve(phi, spec, cfg["delta"], max_iter=cfg["max_iter"],
@@ -276,7 +280,7 @@ def _run_solve(cfg, out):
     return ["picard.csv", "trajectory.json", "solve_report.json"]
 
 
-def _run_gauge_check(cfg, out):
+def _run_gauge_check(cfg, out, telemetry):
     phi = _phi_from_cfg(cfg)
     k = cfg["k"]
     p1 = tuple([0.0] * k + [1.0])
@@ -299,7 +303,7 @@ def _run_gauge_check(cfg, out):
     return ["gauge.json"]
 
 
-def _run_embeddings(cfg, out):
+def _run_embeddings(cfg, out, telemetry):
     from .norms import TimeWindow
     window = TimeWindow(cfg["delta"])
     trials = []
@@ -448,7 +452,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         runner, _ = COMMANDS[args.command]
-        files = runner(cfg, args.out)
+        telemetry = {}
+        files = runner(cfg, args.out, telemetry)
         runtime_ms = (time.perf_counter() - t0) * 1000.0
         manifest = {
             "command": args.command,
@@ -461,6 +466,7 @@ def main(argv=None) -> int:
             },
             "files": sorted(files),
             "runtime_ms": runtime_ms,
+            **telemetry,
         }
         with open(os.path.join(args.out, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=1)

@@ -12,8 +12,13 @@ the 2b-th power of the space-time L^{2b} norm of the all-ones curve sum.
 Tables are built by iterated convolution against the one-variable signature
 measure, in the layout ``_plan`` picks for the memory budget: dense 2-D
 arrays, a sum of squares streamed one A-row at a time, or sorted sparse
-keys. Counts are int64 end to end, ``_plan`` refuses keys that would wrap,
-and sums of squares are Python ints, so every reported count is exact.
+keys. A signature depends only on the multiset of entries, so a level has
+at most one key per multiset; sparse keys are taken whenever that bound
+keeps the largest sparse level within both the top grid and the budget,
+which also rules out a sparse refusal. For d >= 3 the tables fill well
+under 1% of their grid, so this covers most inputs; the grid rule decides
+the rest. Counts are int64 end to end, ``_plan`` refuses keys that would
+wrap, and sums of squares are Python ints, so every reported count is exact.
 
 Unweighted tables are symmetric under n -> -n, which sends (A, B) to
 (-A, (-1)^d B), so half of each is built and the rest copied: dense levels
@@ -161,6 +166,20 @@ def _plan(spec: SystemSpec, budget: int, weighted: bool = False, want: str = "ta
     top level may stream by A-row) or "dense" (else BudgetExceededError).
     A dense build holds its top two levels, a streamed one level b-1 and a
     row; a sparse build may still refuse once its key counts are known.
+
+    Sparse keys are chosen first when their largest level is bounded in
+    advance: a signature depends only on the multiset of entries, so level
+    b-1 has at most keys = min(C(2N+b-1, b-1), cells(b-1)) keys, and level b
+    expands them into pairs = keys * (2N+1) key-value pairs. When pairs are
+    no more than the level-b grid has cells (else a grid is the smaller
+    layout, as for d = 2) and fit the budget, ``_build_sparse`` cannot
+    refuse: its check at level L counts the keys of level L-1, and keys
+    never shrink from one level to the next, since delta 0 keeps every key.
+    Otherwise the grid rule decides: dense or streamed when a grid fits the
+    budget, else sparse. An input thus gets a layout that cannot refuse or
+    the same sparse build that the earlier tuple-count rule gave it (sparse
+    up to (2N+1)^b = 4,000,000 tuples, the grid rule past that), so no
+    input that rule computed is refused.
     Raises Int64OverflowError when packed keys or counts (up to the tuple
     mass (2N+1)^b) would not fit in int64.
     """
@@ -181,7 +200,9 @@ def _plan(spec: SystemSpec, budget: int, weighted: bool = False, want: str = "ta
                 f"dense signature tables for {spec} need {dense_bytes:.3g} bytes, "
                 f"above the memory budget of {budget:.3g}")
         return "dense"
-    if mass <= 4_000_000:  # few tuples: sparse keys beat any grid
+    keys = min(math.comb(2 * spec.N + spec.b - 1, spec.b - 1), cells(spec.b - 1))
+    pairs = keys * (2 * spec.N + 1)
+    if pairs <= cells(spec.b) and pairs * (8 + itemsize) <= budget:
         return "sparse"
     if want == "squares":
         lower_bytes = (cells(spec.b - 2) + cells(spec.b - 1)) * itemsize

@@ -19,8 +19,23 @@ def test_count_example(tmp_path):
                  "--param", "b=2", "--param", "N=1"])
     assert r.returncode == 0, r.stderr
     lines = (out / "count_scan.csv").read_text().splitlines()
-    assert lines[0] == "d,b,N,S,runtime_ms"
-    assert lines[1].startswith("3,2,1,19,")
+    assert lines[0] == "d,b,N,S"
+    assert lines[1] == "3,2,1,19"
+    manifest = json.loads((out / "manifest.json").read_text())
+    [row] = manifest["row_runtime_ms"]
+    assert (row["d"], row["b"], row["N"]) == (3, 2, 1) and row["runtime_ms"] >= 0
+
+
+def test_count_scan_rerun_byte_identical(tmp_path):
+    # wall times go to the manifest, so the CSV depends on the config alone
+    outs = []
+    for k in range(2):
+        out = tmp_path / f"run{k}"
+        r = run_cli(["count", "--out", str(out), "--param", "d=3",
+                     "--param", "b=2,3", "--param", "N=2,4"])
+        assert r.returncode == 0, r.stderr
+        outs.append((out / "count_scan.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_manifest_complete(tmp_path):

@@ -172,27 +172,75 @@ def test_lower_bound_box_argument():
 
 
 def test_layout_plan_pins_benchmark_inputs():
-    # the counting benchmark's inputs, at its 2^28-byte budget
+    # the counting benchmark's inputs, at its 2^28-byte budget: the multiset
+    # bound on the largest sparse level fits every computable input
     budget = 2**28
     small = [(5, b, N) for b in (2, 3) for N in (8, 16, 32, 45, 64)]
     mid = [(3, 4, 22), (3, 5, 16), (5, 6, 6), (5, 8, 6)]
     large = [(5, 6, 12), (3, 4, 32)]
     over_budget = [(5, 6, 32), (5, 8, 32)]
-    for dbn in small + large + over_budget:
+    for dbn in small + mid + large + over_budget:
         spec = SystemSpec(*dbn)
         assert _plan(spec, budget, want="squares") == _plan(spec, budget) == "sparse", dbn
-    for dbn in mid:
-        spec = SystemSpec(*dbn)
-        assert _plan(spec, budget, want="squares") == "streamed", dbn
-        assert _plan(spec, budget) == "dense", dbn
     for dbn in over_budget:
         with pytest.raises(BudgetExceededError):
             count_S(SystemSpec(*dbn), mem_budget=budget)
-    assert _plan(SystemSpec(5, 6, 6), budget, weighted=True) == "dense"
-    assert _plan(SystemSpec(5, 6, 12), budget, weighted=True) == "sparse"
-    # at 2^27 bytes level b-1 and one row of level b fit, the top two levels do not
-    assert _plan(SystemSpec(3, 4, 22), 2**27, want="squares") == "streamed"
-    assert _plan(SystemSpec(3, 4, 22), 2**27) == "sparse"
+    for dbn in ((5, 6, 6), (5, 6, 12)):  # the even_norm inputs
+        assert _plan(SystemSpec(*dbn), budget, weighted=True) == "sparse", dbn
+    # 18,564 multisets of 5 entries at most, in a 6.8M-cell grid
+    assert _plan(SystemSpec(5, 6, 6), counting.DEFAULT_MEM_BUDGET, want="squares") == "sparse"
+
+
+def test_layout_plan_sparse_bound_boundary():
+    # (2, 4, 6): level 3 has at most C(15, 3) = 455 keys, so level 4 at most
+    # 455 * 13 pairs of 16 bytes; one byte less and the grid rule decides
+    spec = SystemSpec(2, 4, 6)
+    pairs = math.comb(15, 3) * 13
+    assert pairs <= spec.cells
+    fits = pairs * 16
+    assert _plan(spec, fits, want="squares") == _plan(spec, fits) == "sparse"
+    assert _plan(spec, fits - 1, want="squares") == "streamed"
+    assert _plan(spec, fits - 1) == "sparse"  # the top two grids need more than fits
+    oracle = brute_force_S(2, 4, 6)
+    assert count_S(spec, mem_budget=fits) == count_S(spec, mem_budget=fits - 1) == oracle
+    assert power_sum_distribution(spec, mem_budget=fits).sum_of_squared_moduli() == oracle
+
+
+def test_multiset_bound_on_level_keys():
+    # the bound _plan relies on: an L-tuple table has at most one key per
+    # multiset of entries, and never more than its grid has cells
+    for d in (2, 3, 5, 7):
+        for L in range(1, 6):
+            for N in range(1, 7):
+                spec = SystemSpec(d, L, N)
+                keys = {(sum(m), sum(v**d for v in m))
+                        for m in itertools.combinations_with_replacement(range(-N, N + 1), L)}
+                assert len(power_sum_distribution(spec).columns()[0]) == len(keys)
+                assert len(keys) <= min(math.comb(2 * N + L, L), spec.cells), (d, L, N)
+
+
+def test_bound_planned_sparse_builds_never_refuse():
+    # at the tightest budget the bound plans sparse, every build computes
+    planned = 0
+    for d in (2, 3, 5, 7):
+        for b in range(2, 6):
+            for N in (1, 3, 6):
+                spec = SystemSpec(d, b, N)
+                lower = SystemSpec(d, b - 1, N).cells
+                pairs = min(math.comb(2 * N + b - 1, b - 1), lower) * (2 * N + 1)
+                if pairs > spec.cells:  # the grid rule decides
+                    continue
+                planned += 1
+                assert _plan(spec, pairs * 16, want="squares") == "sparse"
+                squares = count_S(spec, mem_budget=pairs * 16)
+                for weights, itemsize in ((None, 8), (np.ones(2 * N + 1), 16)):
+                    budget = pairs * (8 + itemsize)
+                    assert _plan(spec, budget, weighted=weights is not None) == "sparse"
+                    table = power_sum_distribution(spec, weights, mem_budget=budget)
+                    assert table.keys is not None
+                    assert table.total_mass() == (2 * N + 1) ** b
+                    assert round(table.sum_of_squared_moduli()) == squares
+    assert planned == 47
 
 
 def test_packed_key_int64_guard():
