@@ -41,6 +41,13 @@ def _parse_list(item):
     return parse
 
 
+def _float(text) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("expected a finite number")
+    return v
+
+
 def _parse_bool(text) -> bool:
     v = str(text).lower()
     if v not in ("1", "0", "true", "false", "yes", "no"):
@@ -344,18 +351,18 @@ COMMANDS = {
         "d": (int, 3, ">= 2"), "N": (_INTS, [16, 32], ">= 2"), "count": (int, 400, ">= 1"),
         "seed": (int, 0, ">= 0")}),
     "illposed": (_run_illposed, {
-        "case": (str, "p1", {"p1", "p2"}), "s": (float, 0.3, None), "eps": (float, 1.0, "> 0"),
-        "t": (float, 0.01, "> 0"), "N": (_INTS, [16, 32, 64, 128, 256], ">= 1")}),
+        "case": (str, "p1", {"p1", "p2"}), "s": (_float, 0.3, None), "eps": (_float, 1.0, "> 0"),
+        "t": (_float, 0.01, "> 0"), "N": (_INTS, [16, 32, 64, 128, 256], ">= 1")}),
     "solve": (_run_solve, {
-        "amp": (float, 0.1, None), "mode": (int, 1, None), "delta": (float, 1e-3, "> 0"),
-        "s": (float, 1.0, None), "band_cap": (int, 12, ">= 1"), "max_iter": (int, 8, ">= 0"),
+        "amp": (_float, 0.1, None), "mode": (int, 1, None), "delta": (_float, 1e-3, "> 0"),
+        "s": (_float, 1.0, None), "band_cap": (int, 12, ">= 1"), "max_iter": (int, 8, ">= 0"),
         "time_samples": (int, 257, ">= 2")}),
     "gauge-check": (_run_gauge_check, {
-        "amp": (float, 0.1, None), "mode": (int, 1, None), "k": (int, 2, ">= 0"),
-        "delta": (float, 1e-3, "> 0"), "s": (float, 1.0, None), "band_cap": (int, 12, ">= 1"),
+        "amp": (_float, 0.1, None), "mode": (int, 1, None), "k": (int, 2, ">= 0"),
+        "delta": (_float, 1e-3, "> 0"), "s": (_float, 1.0, None), "band_cap": (int, 12, ">= 1"),
         "max_iter": (int, 6, ">= 0"), "time_samples": (int, 257, ">= 2")}),
     "embeddings": (_run_embeddings, {
-        "N": (_INTS, [4, 8, 16], ">= 1"), "delta": (float, 0.5, "> 0"),
+        "N": (_INTS, [4, 8, 16], ">= 1"), "delta": (_float, 0.5, "> 0"),
         "samples": (int, 100_000, ">= 1"), "seed": (int, 0, ">= 0")}),
 }
 _BOUNDS = {">=": operator.ge, ">": operator.gt}

@@ -1,5 +1,5 @@
-"""Numeric kernels: the curve sum, and the sort-and-sum reducer behind
-signature tables and harmonic trajectories.
+"""Numeric kernels: the curve sum, the tabulated transform of a flat bump, and
+the sort-and-sum reducer behind signature tables and harmonic trajectories.
 
 ``curve_sum`` is the one evaluator of F(x, t) = sum_n a_n e(n x + n^d t),
 e(y) = e^{2 pi i y}: Weyl sums, the Dirichlet curve kernel and the level-set
@@ -21,6 +21,7 @@ import numpy as np
 HAVE_COMPILED = False  # numpy is the only backend; kept for run records
 EXACT_LIMIT = 2**53  # float64 holds every integer below it exactly
 _BLOCK_CELLS = 1 << 15  # (point, mode) cells per curve_sum block
+_READ_CHUNK = 1 << 13  # arguments per table read; bounds the gathered temporaries
 
 
 class BandCapExceeded(ValueError):
@@ -75,6 +76,71 @@ def curve_sum(coeff, d: int, x, t) -> np.ndarray:
         s = trig[:2 * r] @ weights  # columns: sums against Re a_n, Im a_n
         out[i:i + r] = s[:r, 0] - s[r:, 1] + 1j * (s[:r, 1] + s[r:, 0])
     return out
+
+
+class TabulatedTransform:
+    """F(w) = int f(u) e^{-i w u} du of a real f, even or odd about ``centre``, flat at both ends.
+
+    ``direct`` is the trapezoid rule, geometrically convergent on such an f
+    (Trefethen & Weideman, SIAM Review 56, 2014): e^{-i w centre} sum_k v_k
+    cos(w o_k), or -i times the sin sum for odd f, over nodes ``offsets``
+    o_k >= 0 whose ``weights`` v_k pair each node with its mirror image. A call
+    reads a table grown on demand: cell i, [i step, (i + 1) step), holds the
+    monomial coefficients of the ``points``-point Lagrange interpolant through
+    ``direct`` at (i + r) step, r = 1 - points/2, ..., points/2, for Horner's
+    rule. F(-w) = conj F(w), and a read is exactly 0 where |w| >= ``dead``.
+    """
+
+    def __init__(self, offsets, weights, centre, odd, points, step, dead):
+        self.offsets, self.weights, self.centre, self.odd = offsets, weights, centre, odd
+        self.step, self.dead = step, dead
+        # column r: node r's Lagrange basis polynomial by np.poly on the integer
+        # nodes, so row 0 is exactly a unit vector and a read at a node is exact
+        nodes = self._nodes = np.arange(1 - points // 2, points // 2 + 1)
+        basis = [np.poly(np.delete(nodes, r)) for r in range(points)]
+        self._lagrange = np.array([b[::-1] / np.polyval(b, x) for b, x in zip(basis, nodes)]).T
+        self._coef = np.zeros((points, 0), dtype=np.complex128)  # [power, cell]
+
+    def direct(self, w) -> np.ndarray:
+        """The trapezoid rule at every w."""
+        w = np.asarray(w, dtype=float)
+        flat = w.ravel()
+        sums = np.empty(len(flat))
+        rows = (1 << 16) // len(self.offsets)  # about 2^16 cos or sin cells per matmul
+        for i in range(0, len(flat), rows):
+            phases = np.outer(flat[i:i + rows], self.offsets)
+            sums[i:i + rows] = (np.sin if self.odd else np.cos)(phases) @ self.weights
+        out = (-1j * sums if self.odd else sums) * np.exp(-1j * self.centre * flat)
+        return out.reshape(w.shape)[()]
+
+    def grow(self, w_max: float):
+        """Tabulate every cell that a read up to min(w_max, dead) touches, with 25% headroom."""
+        need = int(min(w_max, self.dead) / self.step) + 1
+        if need > self._coef.shape[1]:
+            cells = min(int(1.25 * need) + 1, int(self.dead / self.step) + 1)
+            vals = self.direct(self.step * np.arange(self._nodes[0], cells + self._nodes[-1]))
+            self._coef = np.array([sum(m * vals[r:r + cells] for r, m in enumerate(row))
+                                   for row in self._lagrange])
+
+    def __call__(self, w) -> np.ndarray:
+        """The tabulated transform at every w, read in chunks of _READ_CHUNK arguments."""
+        w = np.asarray(w, dtype=float)
+        flat = w.ravel()
+        live = np.flatnonzero(np.abs(flat) < self.dead)
+        mag = np.abs(flat[live])
+        self.grow(float(mag.max(initial=0.0)))
+        out = np.zeros(len(flat), dtype=np.complex128)
+        for i in range(0, len(live), _READ_CHUNK):
+            s = mag[i:i + _READ_CHUNK] / self.step
+            cell = s.astype(np.intp)
+            s -= cell
+            v = self._coef[-1][cell]
+            for c in self._coef[-2::-1]:
+                v *= s
+                v += c[cell]
+            out[live[i:i + _READ_CHUNK]] = v
+        out.imag[flat < 0] *= -1  # F(-w) = conj F(w)
+        return out.reshape(w.shape)[()]
 
 
 def sum_by_key(key_columns, vals):

@@ -9,21 +9,21 @@ of delta mu(q/delta): every divisor of k adds delta mu(j) at its multiples
 q = j delta in one scatter, with no gcd per (k, q) cell. The Dirichlet
 curve kernel K_N splits into a bounded major-arc part and a part with
 uniformly small Fourier coefficients vanishing on the curve. The bump's
-real-line transform is read from a table that a 256-interval trapezoid
-rule builds on demand, out to the largest argument asked for.
+real-line transform is ``kernels.TabulatedTransform`` of a 256-interval
+trapezoid rule, the evaluator that also serves the windows of ``norms``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .counting import DEFAULT_SIEVE_LIMIT, mobius_phi_sieve, ramanujan_sum
-from .kernels import curve_sum
+from .kernels import TabulatedTransform, curve_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,95 +98,37 @@ def _bump_prototype(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
 class BumpSpec:
     """Smooth bump supported on [1/200, 1/100] with tabulated Fourier transform."""
 
     SUPPORT = (1.0 / 200.0, 1.0 / 100.0)
     WIDTH = SUPPORT[1] - SUPPORT[0]
-    # trapezoid intervals on the support: the integrand is C^infinity with
-    # every derivative zero at both ends, so the rule converges geometrically
-    # (Trefethen & Weideman, SIAM Review 56, 2014); its first alias sits at
+    # trapezoid intervals on the support; the rule's first alias sits at
     # NODES / WIDTH = 51200, far past XI_DEAD
     NODES = 256
     # beyond this argument the transform is below ~1e-12 of its peak and is
     # treated as identically zero by the tabulated path
     XI_DEAD = 17500.0
-    _STEP = 0.05  # table spacing; table entry i holds the transform at (i - 1) * _STEP
 
-    _table_val: np.ndarray = field(default=None, repr=False)
+    def __init__(self):
+        # the bump is even about its midpoint and zero at both ends. fourier_transform's
+        # 4-point cells are within 7.6e-13 of the peak F phi(0) at every cell midpoint
+        h = self.WIDTH / self.NODES
+        mid = self.SUPPORT[0] + self.NODES // 2 * h
+        offsets = h * np.arange(self.NODES // 2)
+        vals = 2.0 * h * self.profile(mid + offsets)
+        vals[0] *= 0.5  # the midpoint node is not paired
+        self.fourier_transform = TabulatedTransform(TWO_PI * offsets, vals, TWO_PI * mid,
+                                                    odd=False, points=4, step=0.05,
+                                                    dead=self.XI_DEAD)
 
     def profile(self, v) -> np.ndarray:
         """Bump value at v (supported on [1/200, 1/100])."""
         return _bump_prototype((np.asarray(v, dtype=float) - self.SUPPORT[0]) / self.WIDTH)
 
     def fourier_transform_quad(self, xi) -> np.ndarray:
-        """F phi(xi) = int phi(t) e^{-2 pi i xi t} dt by the trapezoid rule.
-
-        The bump is even about its midpoint m, so the nodes m +- j h pair
-        up: F phi(xi) = e^{-2 pi i xi m} sum_j v_j cos(2 pi xi j h), one cos
-        matmul over the NODES/2 offsets (the end values are zero) in chunks
-        of about 2^16 cells. The cos phases stay below pi xi WIDTH, which
-        keeps their rounding, and the rule's error, near 1e-15 of the peak.
-        """
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        h = self.WIDTH / self.NODES
-        half = self.NODES // 2
-        mid = self.SUPPORT[0] + half * h
-        offsets = h * np.arange(half)
-        vals = 2.0 * h * self.profile(mid + offsets)
-        vals[0] *= 0.5  # the midpoint node is not paired
-        cos_sum = np.empty(len(xi_arr))
-        chunk = (1 << 16) // half
-        for i in range(0, len(xi_arr), chunk):
-            cos_sum[i:i + chunk] = np.cos(TWO_PI * np.outer(xi_arr[i:i + chunk], offsets)) @ vals
-        out = cos_sum * np.exp(-1j * TWO_PI * mid * xi_arr)
-        return out if np.ndim(xi) else out[0]
-
-    def _ensure_table(self, xi_max: float):
-        xi_max = min(max(xi_max, 64.0), self.XI_DEAD)
-        table = self._table_val
-        if table is not None and (len(table) - 2) * self._STEP >= xi_max + 2 * self._STEP:
-            return
-        # 25% headroom against regrowth, but none past XI_DEAD, where the
-        # table is never read
-        top = min(xi_max * 1.25, self.XI_DEAD) + 8 * self._STEP
-        self._table_val = self.fourier_transform_quad(np.arange(-1.0, top / self._STEP) * self._STEP)
-
-    def fourier_transform(self, xi) -> np.ndarray:
-        """Tabulated transform, 4-point Lagrange on a uniform grid.
-
-        Within 7.6e-13 of the peak F phi(0) against the trapezoid rule,
-        measured at every cell midpoint; the first cell, |xi| < 0.05,
-        reads the entry at -0.05, the conjugate of the one at 0.05, so its
-        stencil is centred like every other cell's. Negative xi uses
-        conjugate symmetry of the real profile; arguments beyond XI_DEAD
-        return exactly zero (the true value is below 1e-12 of the peak
-        there).
-        """
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        mag = np.abs(xi_arr)
-        alive = mag < self.XI_DEAD
-        every = bool(alive.all())  # skips the masked copies in the common case
-        m = mag if every else mag[alive]
-        self._ensure_table(float(m.max()) if len(m) else 1.0)
-        tv = self._table_val
-        pos = m / self._STEP
-        i0 = np.clip(pos.astype(np.int64) - 1, -1, len(tv) - 5)  # stencil: entries i0+1..i0+4
-        s = pos - i0  # in [1, 2)
-        s1, s2, s3 = s - 1, s - 2, s - 3
-        w0 = -s1 * s2 * s3 / 6.0
-        w1 = s * s2 * s3 / 2.0
-        w2 = -s * s1 * s3 / 2.0
-        w3 = s * s1 * s2 / 6.0
-        val = w0 * tv[i0 + 1] + w1 * tv[i0 + 2] + w2 * tv[i0 + 3] + w3 * tv[i0 + 4]
-        val.imag[(xi_arr if every else xi_arr[alive]) < 0] *= -1  # conjugate
-        if every:
-            out = val
-        else:
-            out = np.zeros(len(xi_arr), dtype=np.complex128)
-            out[alive] = val
-        return out if np.ndim(xi) else out[0]
+        """F phi(xi) = int phi(t) e^{-2 pi i xi t} dt by the rule, near 1e-15 of the peak."""
+        return self.fourier_transform.direct(xi)
 
     @property
     def transform_at_zero(self) -> float:
@@ -239,13 +181,13 @@ class PhiData:
             return out
         # one table growth up front; growing it block by block costs more
         # than the coefficients themselves
-        self.bump._ensure_table(float(np.abs(ks).max()) * self._inv_q2[0])
+        self.bump.fourier_transform.grow(float(np.abs(ks).max()) * self._inv_q2[0])
         rows = max(1, _BLOCK_CELLS // len(self._q))
         for i in range(0, len(ks), rows):
             kb = ks[i:i + rows, None]
             c = ramanujan_sum(self._q, kb)
             xi = kb * self._inv_q2
-            f = self.bump.fourier_transform(xi.ravel()).reshape(xi.shape)
+            f = self.bump.fourier_transform(xi)
             out[i:i + rows] = np.sum(c * self._inv_q2 * f, axis=1)
         return out
 

@@ -118,6 +118,14 @@ BAD_CONFIGS = [
     ("levelset", ["d=7", "N=120"], "overflows"),
     # 1553^5 is past 2^53, so curve_sum refuses a float t
     ("levelset", ["d=5", "N=1553"], "2^53"),
+    # every float key refuses inf and nan; 1e400 parses as inf
+    ("embeddings", ["delta=inf"], "delta"),
+    ("embeddings", ["delta=1e400"], "delta"),
+    ("solve", ["delta=inf"], "delta"),
+    ("gauge-check", ["delta=inf"], "delta"),
+    ("solve", ["amp=nan"], "amp"),
+    ("gauge-check", ["s=nan"], "s"),
+    ("illposed", ["s=-inf"], "s"),
 ]
 
 
@@ -216,6 +224,28 @@ def test_deterministic_csv_bytes(tmp_path):
         assert r.returncode == 0
         outs.append((out / "illposed.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+RERUN_CONFIGS = {
+    "strichartz": ["d=5", "p=12", "N=4", "strategies=single,random", "draws=2"],
+    "weyl": ["N=8,16", "count=4"],
+    "kernel": ["N=4", "count=40"],
+    "embeddings": ["N=2,4", "samples=5000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_CONFIGS))
+def test_seeded_rerun_byte_identical(tmp_path, command):
+    # every output but the manifest, which records wall times, depends on the
+    # config (seed included) alone
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = run_cli([command, "--out", str(out)]
+                    + [a for p in RERUN_CONFIGS[command] for a in ("--param", p)])
+        assert r.returncode == 0, r.stderr
+        outs.append({f: (out / f).read_bytes() for f in os.listdir(out) if f != "manifest.json"})
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from dispersive_lab import kernels
 from dispersive_lab.kernels import BandCapExceeded
-from dispersive_lab.weyl import minor_arc_points
+from dispersive_lab.norms import _window_table
+from dispersive_lab.weyl import BumpSpec, minor_arc_points
 
 ULP = 2.0**-53
 
@@ -128,3 +129,20 @@ def test_sum_by_key_exact_integers_and_empty():
     (uniq, lam), sums = kernels.sum_by_key((np.zeros(0, np.int64), np.zeros(0)),
                                            np.zeros(0, complex))
     assert len(uniq) == len(lam) == len(sums) == 0
+
+
+@pytest.mark.parametrize("table", [BumpSpec().fourier_transform, _window_table(3)],
+                         ids=["bump-4-point", "window-j3-8-point"])
+def test_tabulated_read_at_a_node_returns_the_entry(table):
+    # the Lagrange-to-monomial matrix has an exact unit row 0, so a read whose
+    # cell offset is exactly 0 returns the rule's value at that node bit for
+    # bit, and its conjugate at -w; the rule is re-evaluated on the grid that
+    # filled the table, so its rounding is the table's
+    n = np.arange(-800, 801)
+    w = n * table.step
+    n, w = n[w / table.step == n], w[w / table.step == n]
+    assert len(n) > 800 and 0 in n
+    got = table(w)
+    nodes = np.arange(table._nodes[0], table._coef.shape[1] + table._nodes[-1])
+    want = table.direct(nodes * table.step)[np.abs(n) - nodes[0]]
+    assert np.array_equal(got, np.where(n < 0, np.conj(want), want))

@@ -7,11 +7,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from dispersive_lab import norms
 from dispersive_lab.norms import (
     REACH,
     QuadratureNotConverged,
     TimeWindow,
     _mode_integrals,
+    _window_table,
     duhamel_forcing_bound,
     h_s_norm,
     window_transform,
@@ -55,7 +57,7 @@ def test_h_s_zero_s_is_l2():
 
 def test_window_transform_against_quad():
     win = TimeWindow(0.5)
-    for j in (0, 1, 2):
+    for j in (0, 1, 2, 3):
         for mu in (0.0, 3.7, 31.0, 140.0):
             re = quad(lambda t: win.psi_array(t)[0] * t**j * math.cos(mu * t), -1.0, 1.0,
                       limit=500)[0]
@@ -63,6 +65,44 @@ def test_window_transform_against_quad():
                        limit=500)[0]
             got = window_transform(win, j, mu)
             assert abs(got - complex(re, im)) < 1e-10
+
+
+def test_window_table_against_direct_rule():
+    # the 8-point table against the trapezoid rule it interpolates, within 1e-12
+    # of the peak (7.9e-13 measured); exact conjugate symmetry and exact zeros
+    # from REACH on
+    win = TimeWindow(0.4)
+    rng = np.random.default_rng(16)
+    mu = rng.random(20_000) * REACH / win.delta
+    for j in range(5):
+        want = win.delta ** (j + 1) * _window_table(j).direct(mu * win.delta)
+        peak = np.abs(window_transform(win, j, np.linspace(0.0, 20.0, 801))).max()
+        got = window_transform(win, j, mu)
+        assert np.abs(got - want).max() < 1e-12 * peak
+        assert np.array_equal(window_transform(win, j, -mu), np.conj(got))
+        dead = np.array([REACH, -REACH, 2 * REACH, -1e9]) / win.delta
+        assert np.array_equal(window_transform(win, j, dead), np.zeros(4))
+
+
+@pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_window_rejects_non_finite_or_non_positive_length(delta):
+    with pytest.raises(ValueError):
+        TimeWindow(delta)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf])
+def test_norms_reject_bad_rtol_before_any_work(monkeypatch, rtol):
+    def no_work(*args):
+        raise AssertionError("quadrature started")
+
+    monkeypatch.setattr(norms, "_mode_integrals", no_work)
+    u, win = free_wave(4), TimeWindow(0.5)
+    for call in (lambda: xsb_norm(u, 0.0, 0.5, win, rtol=rtol),
+                 lambda: xsb_norm_with_error(u, 0.0, 0.5, win, rtol=rtol),
+                 lambda: y_s_norm(u, 0.0, win, rtol=rtol),
+                 lambda: duhamel_forcing_bound(u, 0.0, win, rtol=rtol)):
+        with pytest.raises(ValueError, match="rtol"):
+            call()
 
 
 def test_xsb_rejects_low_b():
