@@ -24,7 +24,7 @@ from . import __version__, counting, kdv, strichartz, weyl
 from .counting import BudgetExceededError, Int64OverflowError, SystemSpec
 from .svgplot import write_loglog_svg
 from .kernels import BandCapExceeded
-from .torus import FourierSeries, HarmonicTrajectory, TorusConvention
+from .torus import FourierSeries, TorusConvention
 
 
 class ConfigError(Exception):
@@ -295,10 +295,9 @@ def _run_gauge_check(cfg, out, telemetry):
     states = kdv.picard_solve(phi, spec_gauged, cfg["delta"], max_iter=cfg["max_iter"],
                               band_cap=cfg["band_cap"], s=cfg["s"],
                               time_samples=cfg["time_samples"])
-    v = states[-1].trajectory
-    if isinstance(v, HarmonicTrajectory):
-        times = kdv.picard_times(cfg["delta"], cfg["time_samples"])
-        v = kdv.SampledTrajectory(times, cfg["band_cap"], v.coefficients(times, cfg["band_cap"]))
+    times = kdv.picard_times(cfg["delta"], cfg["time_samples"])
+    v = kdv.SampledTrajectory(times, cfg["band_cap"],
+                              states[-1].trajectory.coefficients(times, cfg["band_cap"]))
     u, theta = kdv.gauge_transform(v, k)
     spec = kdv.NonlinearitySpec(p1=p1)
     with open(os.path.join(out, "gauge.json"), "w") as fh:

@@ -4,9 +4,12 @@ Everything lives on the 2-pi torus. Trajectories are kept as exact harmonic
 sums (closed under the flow, products and Duhamel integration) while the
 term count stays manageable, then projected to Simpson time samples with
 quadrature Duhamel. Resonant frequencies produce the secular t powers that
-drive the sharp ill-posedness examples. Sampled trajectories hold a
-(2 band + 1, times) frame matrix, and their nonlinearity is evaluated on the
-whole matrix at once.
+drive the sharp ill-posedness examples. There is one nonlinearity,
+``nonlinear_term``, with two algebras: exact harmonic sums
+(``HarmonicTrajectory``) and sampled trajectories, which hold a
+(2 band + 1, times) frame matrix (``SampledTrajectory``). Both offer the
+same constants, sums, scalings, x-derivatives, zero modes, band-capped
+products and truncations.
 """
 
 from __future__ import annotations
@@ -68,13 +71,13 @@ def flow_trajectory(phi: FourierSeries) -> HarmonicTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# exact nonlinearity of a harmonic sum
+# the nonlinearity, in either trajectory algebra
 
 
-def _apply_poly(u: HarmonicTrajectory, coeffs, band_cap):
-    """sum_k coeffs[k] * u^k by exact products."""
+def _apply_poly(u, coeffs, band_cap):
+    """sum_k coeffs[k] * u^k by the products of u's algebra."""
     terms = None
-    power = HarmonicTrajectory(u.convention, {(0, 0, 0.0): 1.0 + 0j})
+    power = u.constant(1.0 + 0j)
     for k, c in enumerate(coeffs):
         if k > 0:
             power = power.product(u, band_cap=band_cap)
@@ -84,29 +87,32 @@ def _apply_poly(u: HarmonicTrajectory, coeffs, band_cap):
     return terms
 
 
-def _remove_mean(f: HarmonicTrajectory) -> HarmonicTrajectory:
-    """f -> f - int_T f dx = f - 2 pi * (zero mode)."""
-    return f + f.zero_mode_terms().scaled(-TWO_PI)
+def _band_factor(spec: NonlinearitySpec) -> int:
+    """g with band(P1(u) u_x + P2(u) u_x^2) <= g band(u): deg P1 + 1 and
+    deg P2 + 2 factors of u, counted from the coefficient tuples."""
+    return max(len(spec.p1) if any(spec.p1) else 0,
+               len(spec.p2) + 1 if any(spec.p2) else 0, 1)
 
 
-def nonlinear_term(u: HarmonicTrajectory, spec: NonlinearitySpec,
-                   band_cap: int = DEFAULT_BAND_CAP) -> HarmonicTrajectory:
-    """P1(u) u_x + P2(u) u_x^2, evaluated by exact spectral products."""
+def nonlinear_term(u, spec: NonlinearitySpec, band_cap: int = DEFAULT_BAND_CAP):
+    """P1(u) u_x + P2(u) u_x^2 by the products of u's algebra (harmonic or sampled).
+
+    With ``spec.mean_removed`` the P1 factor loses int_T P1(u) dx, 2 pi
+    times its zero mode.
+    """
     ux = u.x_derivative()
     out = None
     if any(spec.p1):
         p1u = _apply_poly(u, spec.p1, band_cap)
         if spec.mean_removed:
-            p1u = _remove_mean(p1u)
+            p1u = p1u + p1u.zero_mode_terms().scaled(-TWO_PI)
         out = p1u.product(ux, band_cap=band_cap)
     if any(spec.p2):
         p2u = _apply_poly(u, spec.p2, band_cap)
         uxx2 = ux.product(ux, band_cap=band_cap)
         piece = p2u.product(uxx2, band_cap=band_cap)
         out = piece if out is None else out + piece
-    if out is None:
-        return HarmonicTrajectory(u.convention, {})
-    return out
+    return u.constant(0.0) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +240,58 @@ def illposedness_scan(spec: NonlinearitySpec, s: float, eps: float, t: float,
 
 @dataclass
 class SampledTrajectory:
-    """Mode coefficients on a Simpson time grid: coeffs[n + band, m] at times[m]."""
+    """Mode coefficients on a Simpson time grid: coeffs[n + band, m] at times[m].
+
+    The algebra of ``HarmonicTrajectory`` acts frame by frame: a product is
+    the mode convolution of every column, by direct shift-and-add along
+    axis 0 (no FFT, so small modes keep their accuracy).
+    """
 
     times: np.ndarray
     band: int
     coeffs: np.ndarray
+
+    def constant(self, c: complex) -> "SampledTrajectory":
+        return SampledTrajectory(self.times, 0,
+                                 np.full((1, len(self.times)), c, dtype=np.complex128))
+
+    def __add__(self, other: "SampledTrajectory") -> "SampledTrajectory":
+        return SampledTrajectory(self.times, max(self.band, other.band),
+                                 _center_add(self.coeffs, other.coeffs))
+
+    def scaled(self, alpha: complex) -> "SampledTrajectory":
+        return SampledTrajectory(self.times, self.band, alpha * self.coeffs)
+
+    def x_derivative(self) -> "SampledTrajectory":
+        n = np.arange(-self.band, self.band + 1)
+        return SampledTrajectory(self.times, self.band, (1j * n)[:, None] * self.coeffs)
+
+    def zero_mode_terms(self) -> "SampledTrajectory":
+        return SampledTrajectory(self.times, 0, self.coeffs[self.band:self.band + 1])
+
+    def product(self, other: "SampledTrajectory",
+                band_cap: int = DEFAULT_BAND_CAP) -> "SampledTrajectory":
+        if self.band + other.band > band_cap:
+            raise BandCapExceeded(f"product band {self.band + other.band} exceeds cap {band_cap}")
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:], dtype=np.complex128)
+        for i in range(len(a)):
+            out[i:i + len(b)] += a[i] * b
+        return SampledTrajectory(self.times, self.band + other.band, out)
+
+    def truncated(self, band: int) -> tuple["SampledTrajectory", float]:
+        """Frames on exactly [-band, band], and the largest l2 mass one frame drops."""
+        lo = max(self.band - band, 0)
+        tail = np.concatenate((self.coeffs[:lo], self.coeffs[len(self.coeffs) - lo:]))
+        dropped = float(np.max(np.linalg.norm(tail, axis=0), initial=0.0))
+        return SampledTrajectory(self.times, band, _recentered(self.coeffs, band)), dropped
+
+    def coefficients(self, times, band: int) -> np.ndarray:
+        """Frames on [-band, band] at the grid times nearest to ``times``."""
+        cols = np.abs(self.times[:, None] - np.asarray(times)[None, :]).argmin(axis=0)
+        return _recentered(self.coeffs[:, cols], band)
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -286,55 +339,6 @@ def _recentered(frames: np.ndarray, band: int) -> np.ndarray:
                        frames)
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mode convolution of two frame matrices, column by column, by direct
-    shift-and-add along axis 0 (no FFT, so small modes keep their accuracy)."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:], dtype=np.complex128)
-    for i in range(len(a)):
-        out[i:i + len(b)] += a[i] * b
-    return out
-
-
-def _poly_eval_array(frames: np.ndarray, coeffs) -> np.ndarray:
-    """sum_k coeffs[k] frames^{*k} as a zero-centered frame matrix."""
-    out = np.zeros((1,) + frames.shape[1:], dtype=np.complex128)
-    power = np.ones((1,) + frames.shape[1:], dtype=np.complex128)
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            power = _convolve(power, frames)
-        if c:
-            out = _center_add(out, c * power)
-    return out
-
-
-def _array_nonlinear(frames: np.ndarray, band: int, spec: NonlinearitySpec):
-    """Nonlinearity of a (2 band + 1, T) frame matrix; returns (matrix, its band)."""
-    frames = np.asarray(frames, dtype=np.complex128)
-    ux = (1j * np.arange(-band, band + 1))[:, None] * frames
-    total = np.zeros((1,) + frames.shape[1:], dtype=np.complex128)
-    if any(spec.p1):
-        poly = _poly_eval_array(frames, spec.p1)
-        if spec.mean_removed:
-            poly[(len(poly) - 1) // 2] *= 1.0 - TWO_PI
-        total = _center_add(total, _convolve(poly, ux))
-    if any(spec.p2):
-        poly = _poly_eval_array(frames, spec.p2)
-        total = _center_add(total, _convolve(poly, _convolve(ux, ux)))
-    return total, (len(total) - 1) // 2
-
-
-def _sampled_nonlinear(u: SampledTrajectory, spec: NonlinearitySpec, band_cap: int):
-    """Nonlinearity of every frame, truncated back to band_cap; reports the
-    largest dropped l2 mass of one frame."""
-    w_full, wb = _array_nonlinear(u.coeffs, u.band, spec)
-    lo = max(wb - band_cap, 0)
-    tail = np.concatenate((w_full[:lo], w_full[len(w_full) - lo:]))
-    dropped = float(np.max(np.linalg.norm(tail, axis=0), initial=0.0))
-    return _recentered(w_full, band_cap), dropped
-
-
 def _sampled_duhamel(phi: FourierSeries, w_frames: np.ndarray, times: np.ndarray,
                      band: int) -> SampledTrajectory:
     """u(t) = e^{-t d_x^5} phi - int_0^t e^{-(t-tau) d_x^5} w d tau by cumulative Simpson."""
@@ -347,18 +351,10 @@ def _sampled_duhamel(phi: FourierSeries, w_frames: np.ndarray, times: np.ndarray
     return SampledTrajectory(times, band, coeffs)
 
 
-def _frames_at(u, times: np.ndarray, band: int) -> np.ndarray:
-    """Coefficients on [-band, band] at ``times`` (grid times for a sampled u)."""
-    if isinstance(u, HarmonicTrajectory):
-        return u.coefficients(times, band)
-    cols = np.abs(u.times[:, None] - times[None, :]).argmin(axis=0)
-    return _recentered(u.coeffs[:, cols], band)
-
-
 def _sup_hs_distance(a, b, s: float, times: np.ndarray, band: int) -> float:
     """Discrete sup-in-time H^s distance between two representations."""
     weights = (1.0 + np.abs(np.arange(-band, band + 1))) ** (2 * s)
-    diff = _frames_at(a, times, band) - _frames_at(b, times, band)
+    diff = a.coefficients(times, band) - b.coefficients(times, band)
     return math.sqrt(float(np.max(np.sum(weights[:, None] * np.abs(diff) ** 2, axis=0))))
 
 
@@ -385,10 +381,7 @@ def contraction_achieved(states, ratio: float = 0.5, needed: int = 4) -> bool:
 
 
 def _nonlinear_work_estimate(term_count: int, spec: NonlinearitySpec) -> float:
-    deg1 = len(spec.p1) - 1 if any(spec.p1) else 0
-    deg2 = len(spec.p2) - 1 if any(spec.p2) else 0
-    g = max(deg1 + 1 if any(spec.p1) else 0, deg2 + 2 if any(spec.p2) else 0, 1)
-    return float(term_count) ** g
+    return float(term_count) ** _band_factor(spec)
 
 
 def picard_times(delta: float, time_samples: int) -> np.ndarray:
@@ -408,9 +401,12 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
     Duhamel integral switches to cumulative quadrature (step delta /
     (time_samples - 1), reported via the representation tag). Modes above
     ``band_cap`` are discarded with the dropped l2 mass recorded; the
-    diff norms are taken on a 33-point diagnostic time grid. A band_cap
-    above ``MAX_EXACT_MODE`` raises ``BandCapExceeded``: the sampled path
-    needs n^5 exactly for every mode up to it.
+    products inside the nonlinearity are capped at g times the larger of
+    band_cap and the data's band, g = max(deg P1 + 1, deg P2 + 2), which
+    every iterate's products fit. The diff norms are taken on a 33-point
+    diagnostic time grid. A band_cap above ``MAX_EXACT_MODE`` raises
+    ``BandCapExceeded``: the sampled path needs n^5 exactly for every mode
+    up to it.
     """
     if delta <= 0:
         raise ValueError("time horizon must be positive")
@@ -421,6 +417,7 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
             f"band_cap {band_cap} exceeds {MAX_EXACT_MODE}, the largest mode whose "
             "dispersion n^5 float64 holds exactly")
     times = picard_times(delta, time_samples)
+    cap = _band_factor(spec) * max(band_cap, phi.band)
     diag = times[::max(1, (len(times) - 1) // 32)]
     u0_exact = flow_trajectory(phi)
     states = [PicardState(0, u0_exact, _sup_hs_distance(
@@ -432,16 +429,13 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
                 u_prev.term_count() > TERM_CAP
                 or _nonlinear_work_estimate(u_prev.term_count(), spec) > WORK_CAP):
             u_prev = SampledTrajectory(times, band_cap, u_prev.coefficients(times, band_cap))
+        w, dropped = nonlinear_term(u_prev, spec, cap).truncated(band_cap)
         if isinstance(u_prev, HarmonicTrajectory):
-            w = nonlinear_term(u_prev, spec, band_cap=4 * band_cap)
-            w, _ = w.truncated(band_cap)
-            u_next = u0_exact + duhamel(w, horizon=2 * delta)
-            u_next, truncated = u_next.truncated(band_cap)
+            u_next, truncated = (u0_exact + duhamel(w, horizon=2 * delta)).truncated(band_cap)
             rep = "exact"
             count = u_next.term_count()
         else:
-            w_frames, truncated = _sampled_nonlinear(u_prev, spec, band_cap)
-            u_next = _sampled_duhamel(phi, w_frames, times, band_cap)
+            u_next, truncated = _sampled_duhamel(phi, w.coeffs, times, band_cap), dropped
             rep = f"sampled(step={times[1] - times[0]:.3e})"
             count = u_next.coeffs.size
         diff = _sup_hs_distance(u_next, u_prev, s, diag, band_cap)
@@ -460,7 +454,7 @@ def gauge_shift(v: SampledTrajectory, k: int) -> np.ndarray:
     The inner integral is 2 pi times the zero mode of v^k; the time integral
     is cumulative Simpson on the sampled zero mode.
     """
-    zm = _poly_eval_array(v.coeffs, (0.0,) * k + (1.0,))[k * v.band]
+    zm = _apply_poly(v, (0.0,) * k + (1.0,), k * v.band).zero_mode_terms().coeffs[0]
     return TWO_PI * _cumulative_simpson(zm, v.times).real
 
 
@@ -482,9 +476,9 @@ def residual(u: SampledTrajectory, spec: NonlinearitySpec) -> float:
     grid; the nonlinearity keeps its full band.
     """
     dt = u.times[1] - u.times[0]
-    frames = u.coeffs[:, 1:-1]
+    inner = SampledTrajectory(u.times[1:-1], u.band, u.coeffs[:, 1:-1])
     dudt = (u.coeffs[:, 2:] - u.coeffs[:, :-2]) / (2 * dt)
-    dx5 = ((1j * np.arange(-u.band, u.band + 1)) ** 5)[:, None] * frames
-    w_full, _ = _array_nonlinear(frames, u.band, spec)
-    res = _center_add(w_full, dudt + dx5)
+    dx5 = ((1j * np.arange(-u.band, u.band + 1)) ** 5)[:, None] * inner.coeffs
+    w = nonlinear_term(inner, spec, _band_factor(spec) * u.band)
+    res = _center_add(w.coeffs, dudt + dx5)
     return float(np.max(np.linalg.norm(res, axis=0), initial=0.0))

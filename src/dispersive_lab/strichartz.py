@@ -20,6 +20,7 @@ from .norms import TWO_PI, TimeWindow, xsb_norm
 from .torus import HarmonicTrajectory
 
 SAMPLE_CHUNK = 250_000  # level-set points drawn (x, then t) per curve_sum call
+ASCENT_COST_CAP = 5e7  # k_lower_envelope skips an ascent whose per-iteration cells pass this
 Z_95 = 1.96  # Wilson interval quantile
 
 
@@ -152,7 +153,6 @@ def k_lower_envelope(p: int, N: int, d: int,
                      strategies=("single", "all_ones", "random", "ascent"),
                      random_draws: int = 12, seed: int = 0,
                      ascent_iterations: int = 200, ascent_restarts: int = 8,
-                     ascent_cost_cap: float = 5e7,
                      mem_budget: int = counting.DEFAULT_MEM_BUDGET) -> EnvelopeResult:
     """Certified lower bound on the Strichartz constant K_{d,p,N} for even p.
 
@@ -185,8 +185,8 @@ def k_lower_envelope(p: int, N: int, d: int,
             skipped["random"] = str(exc)
     if "ascent" in strategies:
         cost = (2 * N + 1) * sum(SystemSpec(d, k, N).cells for k in range(1, b + 1))
-        if cost > ascent_cost_cap:
-            skipped["ascent"] = f"per-iteration cost {cost:.2g} above cap {ascent_cost_cap:.2g}"
+        if cost > ASCENT_COST_CAP:
+            skipped["ascent"] = f"per-iteration cost {cost:.2g} above cap {ASCENT_COST_CAP:.2g}"
         else:
             try:
                 per["ascent"], _ = ascent_strategy(N, b, d, ascent_iterations,
@@ -272,7 +272,7 @@ def level_set_profile(vec: CoefficientVector, d: int, lams,
                             for lam, h in zip(lams, hits)])
 
 
-# case: (normalized, lo(d), top(N), law(d)): the regime lam in [c N^lo, 2 top]
+# case: (normalized, lo(d), top(N), law(d)): the regime lam in [N^lo, 2 top]
 # is checked against the law lam^{-(2^d+2)} N^law
 _DECAY_CASES = {
     "curve": (True, lambda d: 0.5 - 2.0 ** (-d), math.sqrt, lambda d: 2.0 ** (d - 1) - d),
@@ -280,19 +280,19 @@ _DECAY_CASES = {
 }
 
 
-def decay_regime(case: str, d: int, N: int, c_low: float = 1.0) -> tuple:
+def decay_regime(case: str, d: int, N: int) -> tuple:
     """(lam_lo, lam_hi), the level range a _DECAY_CASES row checks its law on."""
     _, lo, top, _ = _DECAY_CASES[case]
-    return c_low * N ** lo(d), 2.0 * top(N)
+    return N ** lo(d), 2.0 * top(N)
 
 
-def _levelset_decay(case: str, d: int, N: int, lam_grid, config: SamplerConfig | None,
-                    c_low: float, points: int, min_hits: int) -> dict:
-    """Decay report for one _DECAY_CASES row; levels under min_hits do not qualify."""
+def _levelset_decay(case: str, d: int, N: int, config: SamplerConfig | None,
+                    points: int, min_hits: int) -> dict:
+    """Decay report for one _DECAY_CASES row on ``points`` geometric levels;
+    levels under min_hits do not qualify."""
     normalize, _, _, law = _DECAY_CASES[case]
-    lam_lo, lam_hi = decay_regime(case, d, N, c_low)
-    if lam_grid is None:
-        lam_grid = np.geomspace(lam_lo, lam_hi, points)
+    lam_lo, lam_hi = decay_regime(case, d, N)
+    lam_grid = np.geomspace(lam_lo, lam_hi, points)
     profile = level_set_profile(all_ones(N, normalize=normalize), d, lam_grid, config)
     rows = []
     for e in profile.entries:
@@ -315,26 +315,22 @@ def _levelset_decay(case: str, d: int, N: int, lam_grid, config: SamplerConfig |
     }
 
 
-def verify_curve_levelset_decay(d: int, N: int, lam_grid=None,
-                                config: SamplerConfig | None = None,
-                                c_low: float = 1.0, points: int = 10,
-                                min_hits: int = 50) -> dict:
+def verify_curve_levelset_decay(d: int, N: int, *, config: SamplerConfig | None = None,
+                                points: int = 10, min_hits: int = 50) -> dict:
     """Decay of |E_lam| for the normalized all-ones curve sum.
 
-    Regime lam in [c N^{1/2 - 2^{-d}}, 2 N^{1/2}] against lam^{-(2^d+2)} N^{2^{d-1}-d}.
+    Regime lam in [N^{1/2 - 2^{-d}}, 2 N^{1/2}] against lam^{-(2^d+2)} N^{2^{d-1}-d}.
     """
-    return _levelset_decay("curve", d, N, lam_grid, config, c_low, points, min_hits)
+    return _levelset_decay("curve", d, N, config, points, min_hits)
 
 
-def verify_kernel_levelset_decay(d: int, N: int, lam_grid=None,
-                                 config: SamplerConfig | None = None,
-                                 c_low: float = 1.0, points: int = 10,
-                                 min_hits: int = 50) -> dict:
+def verify_kernel_levelset_decay(d: int, N: int, *, config: SamplerConfig | None = None,
+                                 points: int = 10, min_hits: int = 50) -> dict:
     """Decay of |G_lam| for the unnormalized kernel K_N.
 
-    Regime lam in [c N^{1 - 2^{1-d}}, 2N] against lam^{-(2^d+2)} N^{2^d-d+1}.
+    Regime lam in [N^{1 - 2^{1-d}}, 2N] against lam^{-(2^d+2)} N^{2^d-d+1}.
     """
-    return _levelset_decay("kernel", d, N, lam_grid, config, c_low, points, min_hits)
+    return _levelset_decay("kernel", d, N, config, points, min_hits)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,10 @@ class HarmonicTrajectory:
     def term_count(self) -> int:
         return len(self.c)
 
+    def constant(self, c: complex) -> "HarmonicTrajectory":
+        """The constant function c (no terms when c == 0)."""
+        return HarmonicTrajectory(self.convention, {(0, 0, 0.0): c})
+
     def __add__(self, other: "HarmonicTrajectory") -> "HarmonicTrajectory":
         return HarmonicTrajectory.from_columns(
             *(np.concatenate(pair) for pair in zip(self.columns, other.columns)))

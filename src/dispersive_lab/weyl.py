@@ -236,6 +236,7 @@ def build_phi(Q: int) -> PhiData:
 
 
 _SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+SMOOTH_KEEP = 500  # phi_hat_max_scan keeps this many top-ranked smooth candidates
 
 
 def _smooth_numbers(lo: int, hi: int):
@@ -268,8 +269,7 @@ def _window_divisor_score(fac, q_lo: int, q_hi: int) -> float:
 
 
 def phi_hat_max_scan(phi: PhiData, k_limit: int | None = None,
-                     dense_limit: int | None = None,
-                     smooth_keep: int = 500) -> dict:
+                     dense_limit: int | None = None) -> dict:
     """max |Phi_hat(k)| over 0 < k <= k_limit via a structured candidate set.
 
     The kernel split only reads Phi_hat at k = n2 - n1^d with |n1| <= N and
@@ -282,10 +282,10 @@ def phi_hat_max_scan(phi: PhiData, k_limit: int | None = None,
     The modulus is maximized at divisor-rich k: every divisor q of k inside
     [Q, 5Q] contributes ~ phi_Euler(q)/q^2 while k/q^2 stays within the
     flat part of the bump transform. Candidates are single moduli and small
-    multiples m*q, near-diagonal prime products, and smooth numbers ranked
-    by their window divisor mass sum 1/q; k below Q is dominated by the
-    single-divisor family. ``dense_limit`` adds a brute-force window for
-    validation at small Q.
+    multiples m*q, near-diagonal prime products, and the ``SMOOTH_KEEP``
+    smooth numbers with the largest window divisor mass sum 1/q; k below Q
+    is dominated by the single-divisor family. ``dense_limit`` adds a
+    brute-force window for validation at small Q.
     """
     Q = phi.Q
     if k_limit is None:
@@ -307,7 +307,7 @@ def phi_hat_max_scan(phi: PhiData, k_limit: int | None = None,
         if score > 0:
             scored.append((score, val))
     scored.sort(reverse=True)
-    candidates.update(val for _, val in scored[:smooth_keep])
+    candidates.update(val for _, val in scored[:SMOOTH_KEEP])
     dense_k = dense_limit if dense_limit is not None else (4 * Q if Q <= 1024 else 0)
     dense_k = min(dense_k, k_limit)
     # ascending k, so argmax's first maximum keeps ties on the first k found

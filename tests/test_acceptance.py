@@ -369,9 +369,7 @@ def test_criterion_10_picard_contraction():
         best_run = max(best_run, run)
     contracted = kdv.contraction_achieved(states)
 
-    final = states[-1].trajectory
-    got = final.coeffs[:, -1] if isinstance(final, kdv.SampledTrajectory) else \
-        np.array([final.at_time(delta)[n] for n in range(-band, band + 1)])
+    got = states[-1].trajectory.coefficients([delta], band)[:, 0]
     ref = rk4_integrating_factor(phi, spec, delta, 2560, band)
     h1 = hs_distance(got, ref, band, 1.0)
     _report(10, contracted and best_run >= 4 and h1 <= 1e-6,

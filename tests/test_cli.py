@@ -163,6 +163,14 @@ def test_gauge_check_projects_a_harmonic_final_iterate(tmp_path):
     assert rep["theta_final"] > 0.0
 
 
+def test_gauge_check_band_cap_follows_the_nonlinearity(tmp_path):
+    # k = 4 gives P1 = u^4, whose products reach band 5 band_cap = 60
+    out = tmp_path / "run"
+    r = run_cli(["gauge-check", "--out", str(out), "--param", "k=4", "--param", "mode=12"])
+    assert r.returncode == 0, r.stderr
+    assert (out / "gauge.json").exists()
+
+
 def test_cli_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: importing the CLI and running the
     # sampled Picard and gauge paths must leave scipy unimported

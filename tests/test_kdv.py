@@ -24,7 +24,7 @@ from dispersive_lab.kdv import (
     u_p2,
     u_squared_p1,
 )
-from dispersive_lab.kdv import _array_nonlinear, _cumulative_simpson
+from dispersive_lab.kdv import _cumulative_simpson
 from dispersive_lab.norms import dispersion, h_s_norm
 from dispersive_lab.torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
 
@@ -41,13 +41,9 @@ def rk4_integrating_factor(phi, spec, delta, steps, band):
 
     def rhs(v, t):
         ph = np.exp(1j * disp * t)
-        ucur = np.conj(ph) * v
-        w_full, wb = _array_nonlinear(ucur[:, None], band, spec)
-        w_full = w_full[:, 0]
-        lo = wb - band
-        w = w_full[lo:lo + 2 * band + 1] if lo > 0 else np.pad(
-            w_full, (band - wb, band - wb))
-        return -ph * w
+        ucur = SampledTrajectory(np.array([t]), band, (np.conj(ph) * v)[:, None])
+        w, _ = nonlinear_term(ucur, spec).truncated(band)
+        return -ph * w.coeffs[:, 0]
 
     v = u.copy()
     t = 0.0
@@ -329,13 +325,8 @@ def test_picard_contraction_and_oracle():
     states = picard_solve(phi, spec, delta, max_iter=7, band_cap=10, s=1.0,
                           time_samples=129)
     assert contraction_achieved(states)
-    final = states[-1].trajectory
     band = 10
-    if isinstance(final, SampledTrajectory):
-        got = final.coeffs[:, -1]
-    else:
-        f = final.at_time(delta)
-        got = np.array([f[n] for n in range(-band, band + 1)])
+    got = states[-1].trajectory.coefficients([delta], band)[:, 0]
     ref = rk4_integrating_factor(phi, spec, delta, 1290, band)
     assert hs_distance(got, ref, band, 1.0) < 1e-6
 
@@ -347,12 +338,7 @@ def test_picard_mean_conserved():
     states = picard_solve(phi, u_squared_p1(), 1e-3, max_iter=4, band_cap=8,
                           time_samples=65)
     for st in states:
-        traj = st.trajectory
-        if isinstance(traj, SampledTrajectory):
-            zero = traj.coeffs[traj.band]
-        else:
-            zero = np.array([traj.at_time(t)[0]
-                             for t in np.linspace(0, 1e-3, 9)])
+        zero = st.trajectory.coefficients(np.linspace(0, 1e-3, 65), 0)[0]
         assert np.abs(zero - 0.2).max() < 1e-10
 
 
@@ -378,7 +364,7 @@ def test_picard_p2_contracts():
     u_squared_p1(), u_p2(), NonlinearitySpec(p1=(0.0, 0.0, 1.0), mean_removed=True)],
     ids=["u_squared_p1", "u_p2", "gauge"])
 def test_frame_nonlinearity_matches_exact(spec):
-    # the frame-matrix nonlinearity against exact products of the harmonic sum
+    # nonlinear_term on frame matrices against exact products of the harmonic sum
     rng = np.random.default_rng(5)
     band = 4
     coeff = {0: 0.2}
@@ -387,10 +373,28 @@ def test_frame_nonlinearity_matches_exact(spec):
         coeff[n], coeff[-n] = c, c.conjugate()
     u, _ = first_iterate(FourierSeries(TP, coeff), u_squared_p1()).truncated(band)
     times = np.linspace(0.0, 1e-2, 9)
-    w, wb = _array_nonlinear(u.coefficients(times, band), band, spec)
+    w = nonlinear_term(SampledTrajectory(times, band, u.coefficients(times, band)), spec)
     want = nonlinear_term(u, spec).coefficients(times, 3 * band)
-    assert wb == 3 * band
-    assert np.abs(w - want).max() <= 1e-13 * np.abs(want).max()
+    assert w.band == 3 * band
+    assert np.abs(w.coeffs - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_both_products_refuse_past_band_cap():
+    u = HarmonicTrajectory(TP, {(2, 0, -32.0): 0.5, (-2, 0, 32.0): 0.5})
+    times = np.linspace(0.0, 1e-2, 5)
+    for v in (u, SampledTrajectory(times, 2, u.coefficients(times, 2))):
+        assert v.product(v, band_cap=4).band == 4
+        with pytest.raises(BandCapExceeded, match="product band 4 exceeds cap 3"):
+            v.product(v, band_cap=3)
+
+
+def test_picard_band_cap_follows_the_nonlinearity():
+    # P1 = u^4 makes products of band 5 band_cap = 15, past a fixed 4 band_cap
+    phi = FourierSeries(TP, {3: .05, -3: .05})
+    spec = NonlinearitySpec(p1=(0, 0, 0, 0, 1), mean_removed=True)
+    states = picard_solve(phi, spec, 1e-3, max_iter=3, band_cap=3)
+    assert [st.j for st in states] == [0, 1, 2, 3]
+    assert all(math.isfinite(st.diff_norm) for st in states)
 
 
 def test_sampled_projection_matches_exact():
