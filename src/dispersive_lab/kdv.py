@@ -360,6 +360,15 @@ def _sup_hs_distance(a, b, s: float, times: np.ndarray, band: int) -> float:
 
 @dataclass
 class PicardState:
+    """Iterate j of ``picard_solve``, its representation and size.
+
+    ``truncated_mass`` is the l2 mass that iterate j loses to ``band_cap``:
+    the largest over the frames of the Picard time grid of the mass that the
+    nonlinearity of iterate j-1 has past band_cap, or the data's mass past
+    band_cap if that is larger. It is measured the same way for exact and
+    sampled iterates; iterate 0, the linear flow kept whole, reports 0.
+    """
+
     j: int
     trajectory: object
     diff_norm: float
@@ -400,11 +409,11 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
     ``WORK_CAP``; past that they are projected onto a Simpson grid and the
     Duhamel integral switches to cumulative quadrature (step delta /
     (time_samples - 1), reported via the representation tag). Modes above
-    ``band_cap`` are discarded with the dropped l2 mass recorded; the
-    products inside the nonlinearity are capped at g times the larger of
-    band_cap and the data's band, g = max(deg P1 + 1, deg P2 + 2), which
-    every iterate's products fit. The diff norms are taken on a 33-point
-    diagnostic time grid. A band_cap above ``MAX_EXACT_MODE`` raises
+    ``band_cap`` are discarded with the dropped l2 mass recorded (see
+    ``PicardState``); the products inside the nonlinearity are capped at g
+    times the larger of band_cap and the data's band, g = max(deg P1 + 1,
+    deg P2 + 2), which every iterate's products fit. The diff norms are
+    taken on a 33-point diagnostic time grid. A band_cap above ``MAX_EXACT_MODE`` raises
     ``BandCapExceeded``: the sampled path needs n^5 exactly for every mode
     up to it.
     """
@@ -420,6 +429,7 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
     cap = _band_factor(spec) * max(band_cap, phi.band)
     diag = times[::max(1, (len(times) - 1) // 32)]
     u0_exact = flow_trajectory(phi)
+    data_dropped = u0_exact.truncated(band_cap)[1]  # constant in time: one term per mode
     states = [PicardState(0, u0_exact, _sup_hs_distance(
         u0_exact, HarmonicTrajectory(phi.convention, {}), s, diag, band_cap),
         "exact", u0_exact.term_count(), 0.0)]
@@ -431,15 +441,20 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
             u_prev = SampledTrajectory(times, band_cap, u_prev.coefficients(times, band_cap))
         w, dropped = nonlinear_term(u_prev, spec, cap).truncated(band_cap)
         if isinstance(u_prev, HarmonicTrajectory):
-            u_next, truncated = (u0_exact + duhamel(w, horizon=2 * delta)).truncated(band_cap)
+            if dropped:  # measured as on a sampled iterate: the nonlinearity of
+                # u_prev's frames on the Picard grid, frame by frame
+                frames = SampledTrajectory(times, u_prev.band,
+                                           u_prev.coefficients(times, u_prev.band))
+                dropped = nonlinear_term(frames, spec, cap).truncated(band_cap)[1]
+            u_next = (u0_exact + duhamel(w, horizon=2 * delta)).truncated(band_cap)[0]
             rep = "exact"
             count = u_next.term_count()
         else:
-            u_next, truncated = _sampled_duhamel(phi, w.coeffs, times, band_cap), dropped
+            u_next = _sampled_duhamel(phi, w.coeffs, times, band_cap)
             rep = f"sampled(step={times[1] - times[0]:.3e})"
             count = u_next.coeffs.size
         diff = _sup_hs_distance(u_next, u_prev, s, diag, band_cap)
-        states.append(PicardState(j, u_next, diff, rep, count, truncated))
+        states.append(PicardState(j, u_next, diff, rep, count, max(dropped, data_dropped)))
         u_prev = u_next
     return states
 

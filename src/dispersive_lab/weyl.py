@@ -72,16 +72,15 @@ def weyl_sum(N: int, d: int, t, pcoeffs=()) -> complex:
 
     ``pcoeffs`` lists P's coefficients from the constant term up. The sum is
     ``curve_sum`` at x = 0 with a_n = e(P(n)) on 1 <= n <= N and a_n = 0
-    elsewhere, so a ``Fraction`` t is reduced exactly and a float t past
-    N^d = 2^53 raises ``BandCapExceeded``.
+    elsewhere, at ``Fraction(t)``: a float is a dyadic rational, which this
+    holds exactly, so t n^d is reduced mod 1 exactly for every N and t.
     """
     if len(pcoeffs) > d:
         raise ValueError("P must have degree <= d-1")
     p = np.polyval(pcoeffs[::-1], np.arange(1, N + 1, dtype=np.float64))
     coeff = np.zeros(2 * N + 1, dtype=np.complex128)
     coeff[N + 1:] = np.exp(1j * TWO_PI * (p - np.rint(p)))
-    t = t if isinstance(t, Fraction) else np.array([float(t)])
-    return complex(curve_sum(coeff, d, np.zeros(1), t)[0])
+    return complex(curve_sum(coeff, d, np.zeros(1), Fraction(t))[0])
 
 
 # ---------------------------------------------------------------------------

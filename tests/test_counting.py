@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dispersive_lab import counting, weyl
+from dispersive_lab import counting, kernels, weyl
 from dispersive_lab.counting import (
     DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
@@ -135,6 +135,104 @@ def test_sparse_refusal_counts_the_full_last_level():
         with pytest.raises(BudgetExceededError) as exc:
             build(spec, mem_budget=fits - 1)
         assert exc.value.suggested_n == 4
+
+
+def recording_sum_by_key(monkeypatch):
+    """Patch counting.sum_by_key to log the row count of every input; returns the log."""
+    rows = []
+
+    def recording(key_columns, vals):
+        rows.append(len(vals))
+        return kernels.sum_by_key(key_columns, vals)
+
+    monkeypatch.setattr(counting, "sum_by_key", recording)
+    return rows
+
+
+def test_early_bound_refuses_before_expanding(monkeypatch):
+    # (5, 3, 8): level 1 has 17 keys, so the 8 deltas nearest 0 give a union
+    # of at most 136 keys; it has 104, level 2 has 145. 17 deltas of 16 bytes
+    # each, so a budget of 272 k bytes lets a level expand at most k keys
+    spec = SystemSpec(5, 3, 8)
+    message = ("sparse signature expansion for SystemSpec(d=5, b=3, N=8) exceeds "
+               "memory budget; try N <= 4")
+    for limit, expanded in ((100, [17]), (120, [17, 289])):
+        rows = recording_sum_by_key(monkeypatch)
+        with pytest.raises(BudgetExceededError) as exc:
+            count_S(spec, mem_budget=limit * 272)
+        assert str(exc.value) == message and exc.value.suggested_n == 4
+        # 104 > 100: refused before level 2 expands; 104 <= 120 < 145: level 2's
+        # 289 pairs are summed, and the level-3 check refuses as it always did
+        assert rows == expanded, limit
+    assert count_S(spec, mem_budget=145 * 272) == brute_force_S(5, 3, 8)
+
+
+def reference_levels(spec, weights, budget):
+    """(keys, values) of levels 1, 2, ... by plain full expansion, up to level b or
+    the first level too large to expand within ``budget`` bytes."""
+    stride = 2 * spec.b_extent + 1
+    deltas = np.array([n * stride + n**spec.d for n in range(-spec.N, spec.N + 1)],
+                      dtype=np.int64)
+    (keys,), vals = kernels.sum_by_key((deltas + spec.a_extent * stride + spec.b_extent,),
+                                       weights)
+    levels = [(keys, vals)]
+    while len(levels) < spec.b and len(keys) * len(deltas) * (8 + vals.itemsize) <= budget:
+        (keys,), vals = kernels.sum_by_key(((keys[None, :] + deltas[:, None]).ravel(),),
+                                           (vals[None, :] * weights[:, None]).ravel())
+        levels.append((keys, vals))
+    return levels
+
+
+def test_sparse_refusals_match_exact_key_count_rule(monkeypatch):
+    # a build refuses exactly when some level L-1 has more keys than a full
+    # level-L expansion fits; the early bound may only refuse it one level
+    # sooner, and a build that completes keeps every key and value byte
+    budgets = [2**e for e in range(16, 25)]
+    rng = np.random.default_rng(18)
+    kinds = collections.Counter()
+    for d in (3, 5, 7):
+        for b in range(2, 7):
+            for N in (1, 2, 4, 8, 12):
+                spec = SystemSpec(d, b, N)
+                unit = np.ones(2 * N + 1, dtype=np.int64)
+                weights = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+                weights[rng.random(2 * N + 1) < 0.3] = 0  # zero sums keep their keys
+                for w, given in ((unit, None), (weights, weights)):
+                    levels = reference_levels(spec, w, budgets[-1])
+                    itemsize = 8 + w.itemsize
+                    for budget in budgets:
+                        # the first level L whose check fails: level L-1 has too many keys
+                        fails = next((L for L in range(2, min(b, len(levels) + 1) + 1)
+                                      if len(levels[L - 2][0]) * (2 * N + 1) * itemsize > budget),
+                                     None)
+                        rows = recording_sum_by_key(monkeypatch)
+                        if fails is None:
+                            keys, vals = counting._build_sparse(spec, given, budget)
+                            assert keys.tobytes() == levels[-1][0].tobytes()
+                            assert vals.tobytes() == levels[-1][1].tobytes()
+                            kinds["computed"] += 1
+                            continue
+                        with pytest.raises(BudgetExceededError) as exc:
+                            counting._build_sparse(spec, given, budget)
+                        assert exc.value.suggested_n == max(1, N // 2)
+                        assert str(exc.value) == (f"sparse signature expansion for {spec} exceeds "
+                                                  f"memory budget; try N <= {max(1, N // 2)}")
+                        # levels 1 .. L-1 are summed before the check at L refuses
+                        sooner = len(rows) == fails - 2
+                        assert sooner or len(rows) == fails - 1, (spec, budget)
+                        kinds["early" if sooner else "level check"] += 1
+    assert min(kinds["computed"], kinds["early"], kinds["level check"]) >= 20, kinds
+
+
+def test_benchmark_refusals_stay_small(monkeypatch):
+    # the counting benchmark's over-budget inputs at its 2^28-byte budget: the
+    # early bound refuses before level 4 (2,978,625 pairs) is summed
+    for dbn in ((5, 6, 32), (5, 8, 32)):
+        rows = recording_sum_by_key(monkeypatch)
+        with pytest.raises(BudgetExceededError) as exc:
+            count_S(SystemSpec(*dbn), mem_budget=2**28)
+        assert exc.value.suggested_n == 16
+        assert max(rows) < 400_000, (dbn, max(rows))
 
 
 def test_odd_d_sums_of_squares_past_int64_stay_exact():

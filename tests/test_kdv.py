@@ -397,6 +397,37 @@ def test_picard_band_cap_follows_the_nonlinearity():
     assert all(math.isfinite(st.diff_norm) for st in states)
 
 
+def test_picard_truncated_mass_same_on_exact_and_sampled_iterates():
+    # u^2 P1 of modes +-3 reaches mode 9, past band_cap 8: exact iterates report
+    # what their nonlinearity drops, as the sampled iterates after them do
+    phi = FourierSeries(TP, {3: 0.1, -3: 0.1, 1: 0.05, -1: 0.05})
+    spec, band_cap, delta = u_squared_p1(), 8, 0.05
+    states = picard_solve(phi, spec, delta, max_iter=6, band_cap=band_cap)
+    reps = [st.representation.split("(")[0] for st in states]
+    assert reps == ["exact"] * 3 + ["sampled"] * 4
+    assert states[0].truncated_mass == 0.0
+    masses = [st.truncated_mass for st in states[1:]]
+    assert min(masses) > 4.2e-3 and max(masses) < 4.25e-3 * (1 + 1e-3)
+    # oracle: the exact nonlinearity's terms past band_cap, summed at every
+    # time of the Picard grid
+    times = np.linspace(0.0, delta, 257)
+    for prev, st in zip(states[:2], states[1:3]):
+        w = nonlinear_term(prev.trajectory, spec, 3 * band_cap)
+        frames = w.coefficients(times, w.band)
+        frames[w.band - band_cap:w.band + band_cap + 1] = 0
+        want = np.linalg.norm(frames, axis=0).max()
+        assert st.truncated_mass == pytest.approx(want, rel=1e-12)
+
+
+def test_picard_truncated_mass_counts_the_data_past_band_cap():
+    # modes +-5 of the data are dropped by every iterate, exact or sampled
+    phi = FourierSeries(TP, {5: 0.03, -5: 0.03, 1: 0.1, -1: 0.1})
+    states = picard_solve(phi, u_squared_p1(), 1e-3, max_iter=6, band_cap=4,
+                          time_samples=33)
+    assert states[-1].representation.startswith("sampled")
+    assert all(st.truncated_mass >= math.hypot(0.03, 0.03) for st in states[1:])
+
+
 def test_sampled_projection_matches_exact():
     # coefficients() against a term-by-term sum, including rows above the band
     phi = two_mode_data(2, 1.0, 0.5)

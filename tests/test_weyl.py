@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from dispersive_lab import counting
 from dispersive_lab.counting import mobius_phi_sieve
-from dispersive_lab.kernels import BandCapExceeded, curve_sum
+from dispersive_lab.kernels import curve_sum
 from dispersive_lab.weyl import (
     BumpSpec,
     KernelDecomposition,
@@ -81,12 +81,22 @@ def test_weyl_degree_guard():
         weyl_sum(5, 3, 0.1, (0.0, 0.0, 0.0, 1.0))
 
 
+def exact_weyl_sum(N, d, t):
+    """sum_{n<=N} e(t n^d) with t n^d reduced mod 1 in Python integers."""
+    t = Fraction(t)
+    return sum(cmath.exp(2j * math.pi * (t.numerator * n**d % t.denominator) / t.denominator)
+               for n in range(1, N + 1))
+
+
 def test_weyl_sum_float_guard_and_exact_fraction():
-    # 1553^5 is past 2^53: a float t raises, a Fraction t is still reduced exactly
-    with pytest.raises(BandCapExceeded, match=r"2\^53"):
-        weyl_sum(1553, 5, 0.75)
-    want = sum(cmath.exp(2j * math.pi * (3 * n**5 % 4) / 4) for n in range(1, 1554))
-    assert abs(weyl_sum(1553, 5, Fraction(3, 4)) - want) < 1e-11
+    # a float t is the dyadic rational it holds: past 1553^5 > 2^53 as well
+    want = exact_weyl_sum(1553, 5, Fraction(3, 4))
+    for t in (0.75, Fraction(3, 4)):
+        assert abs(weyl_sum(1553, 5, t) - want) < 1e-11
+    # rounding n^5 t in float64 was off by 153 here (|S| <= 1552) and by 0.097
+    # at N = 1000, t = 0.1
+    for N, t in ((1552, 0.75), (1000, 0.1)):
+        assert abs(weyl_sum(N, 5, t) - exact_weyl_sum(N, 5, t)) < 1e-10
 
 
 def _kernel(N, d, x, t):
