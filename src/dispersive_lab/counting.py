@@ -483,28 +483,38 @@ def _sieve(limit: int):
     return mu, phi, spf
 
 
+_DIVISOR_CELLS = 1 << 16  # trial-division grid cells per numpy step of _divisors
+
+
 def _divisors(ks, top: int):
     """(i, d) for every divisor 1 <= d <= ``top`` of every ks[i] >= 0, by trial division.
 
     One grid of ks against 1..min(isqrt(max ks), top), so it has
-    len(ks) * min(isqrt(max ks), top) cells: each d dividing k with d^2 <= k
-    gives d and, when it is at most ``top``, its co-divisor k / d (past
-    top^2 no co-divisor is at most ``top``). 0 gets no pairs; the pairs are
-    unordered. The masks are taken on the grid, not on the pairs: boolean
-    arrays a few hundred entries long, of a new length at every call, stay
-    in numpy's small-buffer cache and fragment the heap (0.4 MB more peak
-    RSS over two passes of the circle scans).
+    len(ks) * min(isqrt(max ks), top) cells, walked in row blocks of about
+    _DIVISOR_CELLS cells: each d dividing k with d^2 <= k gives d and, when
+    it is at most ``top``, its co-divisor k / d (past top^2 no co-divisor is
+    at most ``top``). 0 gets no pairs; the pairs come block by block, and
+    unordered within a block. The masks are taken on the grid, not on the
+    pairs: boolean arrays a few hundred entries long, of a new length at
+    every call, stay in numpy's small-buffer cache and fragment the heap
+    (0.4 MB more peak RSS over two passes of the circle scans).
     """
     ks = np.asarray(ks, dtype=np.int64)
     bound = min(math.isqrt(int(ks.max())), top) if ks.size else 0
+    width = max(bound, 1)
     d = np.arange(1, bound + 1)
-    co = ks[:, None] // d
-    hit = co * d == ks[:, None]
-    small = np.flatnonzero(hit & (d <= co))
-    large = np.flatnonzero(hit & (d < co) & (co <= top))
-    i, j = np.divmod(small, max(bound, 1))
-    return (np.concatenate((i, large // max(bound, 1))),
-            np.concatenate((j + 1, co.reshape(-1)[large])))
+    rows = max(1, _DIVISOR_CELLS // width)
+    out_i, out_d = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for r in range(0, ks.size, rows):
+        kb = ks[r:r + rows, None]
+        co = kb // d
+        hit = co * d == kb
+        small = np.flatnonzero(hit & (d <= co))
+        large = np.flatnonzero(hit & (d < co) & (co <= top))
+        i, j = np.divmod(small, width)
+        out_i += [i + r, large // width + r]
+        out_d += [j + 1, co.reshape(-1)[large]]
+    return np.concatenate(out_i), np.concatenate(out_d)
 
 
 def mobius(n: int) -> int:

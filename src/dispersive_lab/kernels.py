@@ -14,6 +14,7 @@ cycles per mode. A ``Fraction`` t = a/q is reduced exactly, as
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,18 @@ class TabulatedTransform:
             sums[i:i + rows] = (np.sin if self.odd else np.cos)(phases) @ self.weights
         out = (-1j * sums if self.odd else sums) * np.exp(-1j * self.centre * flat)
         return out.reshape(w.shape)[()]
+
+    def taylor(self, terms: int) -> np.ndarray:
+        """a_0, ..., a_{terms-1} of direct(w) = sum_m a_m w^m: the rule's own Taylor series.
+
+        A node pair centre +- o_k of weight v_k / 2 each (the sin sum's pair
+        with opposite signs) gives a_m = (-i)^m / m! times the node moments
+        sum_k v_k ((centre + o_k)^m +- (centre - o_k)^m) / 2.
+        """
+        hi, lo = self.centre + self.offsets, self.centre - self.offsets
+        sign = -1.0 if self.odd else 1.0
+        return np.array([self.weights @ (hi**m + sign * lo**m) / 2
+                         * (1, -1j, -1, 1j)[m % 4] / math.factorial(m) for m in range(terms)])
 
     def grow(self, w_max: float):
         """Tabulate every cell that a read up to min(w_max, dead) touches, with 25% headroom."""

@@ -1,16 +1,20 @@
 """Weyl sums, continued-fraction rational approximation, and the Farey bump kernel split.
 
 The circle-method side of the lab: a smooth bump is planted on the Farey
-arcs [a/q + 1/(200 q^2), a/q + 1/(100 q^2)] for q in [Q, 5Q], its Fourier
-coefficients are evaluated through Ramanujan sums (O(Q) work per
-coefficient instead of an O(Q^2) Farey sum) by one batched evaluator,
-``PhiData.phi_hat_many``. Each c_q(k) is the divisor sum over delta | (q, k)
-of delta mu(q/delta): every divisor of k adds delta mu(j) at its multiples
-q = j delta in one scatter, with no gcd per (k, q) cell. The Dirichlet
-curve kernel K_N splits into a bounded major-arc part and a part with
-uniformly small Fourier coefficients vanishing on the curve. The bump's
-real-line transform is ``kernels.TabulatedTransform`` of a 256-interval
-trapezoid rule, the evaluator that also serves the windows of ``norms``.
+arcs [a/q + 1/(200 q^2), a/q + 1/(100 q^2)] for q in [Q, 5Q], and its
+Fourier coefficients Phi_hat(k) come from one batched evaluator,
+``PhiData.phi_hat_many``, with two paths chosen by the largest
+xi = |k|/Q^2 of a call. Up to ``XI_MOMENTS`` (the kernel regime: Q >= N^(d-1),
+k <= 2 N^d gives xi <= 2/N at d = 3) the bump transform is its own short
+Taylor series, and with c_q(k) = sum_{delta | (q, k)} delta mu(q/delta)
+the sum over q collapses onto the divisors delta <= 5Q of k: O(tau(k))
+work per coefficient against tail sums of mu(j) j^(-2-2m) tabulated once
+per Q. Past it, every (k, q) cell gets an exact Ramanujan sum and a read of
+the tabulated transform, O(Q) work per coefficient. The Dirichlet curve
+kernel K_N splits into a bounded major-arc part and a part with uniformly
+small Fourier coefficients vanishing on the curve. The bump's real-line
+transform is ``kernels.TabulatedTransform`` of a 256-interval trapezoid
+rule, the evaluator that also serves the windows of ``norms``.
 """
 
 from __future__ import annotations
@@ -19,13 +23,22 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .counting import DEFAULT_SIEVE_LIMIT, mobius_phi_sieve, ramanujan_sum
+from .counting import (_DIVISOR_CELLS, DEFAULT_SIEVE_LIMIT, _divisors, mobius_phi_sieve,
+                       ramanujan_sum)
 from .kernels import TabulatedTransform, curve_sum
 
 TWO_PI = 2.0 * math.pi
+# phi_hat_many takes the moment path when every xi = |k|/q^2 of a call is at
+# most XI_MOMENTS, with the bump transform's Taylor series cut after MOMENTS
+# terms: the least M with x^M / M! <= 2^-53 at x = 2 pi XI_MOMENTS / 100, the
+# remainder bound relative to F phi(0) (the bump lives on t <= 1/100)
+XI_MOMENTS = 1.0
+MOMENTS = next(m for m in range(1, 64)
+               if (TWO_PI * XI_MOMENTS / 100) ** m / math.factorial(m) <= 2.0**-53)
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,11 @@ class BumpSpec:
         """F phi(xi) = int phi(t) e^{-2 pi i xi t} dt by the rule, near 1e-15 of the peak."""
         return self.fourier_transform.direct(xi)
 
+    @cached_property
+    def taylor(self) -> np.ndarray:
+        """a_m with F phi(xi) = sum_{m < MOMENTS} a_m xi^m, the rule's own Taylor series."""
+        return self.fourier_transform.taylor(MOMENTS)
+
     @property
     def transform_at_zero(self) -> float:
         return float(self.fourier_transform_quad(0.0).real)
@@ -159,36 +177,87 @@ class PhiData:
         if self.q_hi > DEFAULT_SIEVE_LIMIT:
             raise ValueError(f"moduli up to 5Q = {self.q_hi} exceed the sieve limit "
                              f"{DEFAULT_SIEVE_LIMIT}")
-        self._phi = mobius_phi_sieve()[1]
+        self._mu, self._phi, _ = mobius_phi_sieve()
         self._q = np.arange(self.q_lo, self.q_hi + 1, dtype=np.int64)
         self._inv_q2 = 1.0 / (self._q.astype(np.float64) ** 2)
+        self._tails = None  # the moment path's tail sums, built on its first nonzero k
+        self._hat0 = float(np.sum(self._phi[self._q] * self._inv_q2)) * self.bump.transform_at_zero
 
     def phi_hat0(self) -> float:
         """Phi_hat(0) = sum_q phi_Euler(q)/q^2 * F phi(0) > 0."""
-        tot = float(np.sum(self._phi[self._q] * self._inv_q2))
-        return tot * self.bump.transform_at_zero
+        return self._hat0
 
     def phi_hat_many(self, ks) -> np.ndarray:
         """Phi_hat(k) = sum_{q ~ Q} (c_q(k)/q^2) * F phi(k/q^2) for every k in ks.
 
-        Exact Ramanujan sums per (k, q) cell, the tabulated bump transform,
-        and a pairwise sum over q per k, on blocks of _BLOCK_CELLS cells.
+        k = 0 reads ``phi_hat0()``. The other ks take one of two paths, by the
+        largest xi = |k|/Q^2 among them. Up to ``XI_MOMENTS`` (the kernel
+        regime), the moment path: O(tau(k)) work per coefficient, within
+        about 5e-16 of sum_q |c_q(k)/q^2 F phi(k/q^2)| of the sum through the
+        trapezoid rule itself. Past it, the table path: an exact Ramanujan sum
+        per (k, q) cell, the tabulated bump transform (4e-13 of the peak from
+        the rule), and a pairwise sum over q per k. The paths work on blocks
+        of about _DIVISOR_CELLS divisor-grid cells and _BLOCK_CELLS (k, q)
+        cells.
         """
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
-        out = np.empty(len(ks), dtype=np.complex128)
-        if len(ks) == 0:
+        out = np.full(len(ks), self._hat0, dtype=np.complex128)
+        live = np.flatnonzero(ks)
+        if len(live) == 0:
             return out
-        # one table growth up front; growing it block by block costs more
-        # than the coefficients themselves
-        self.bump.fourier_transform.grow(float(np.abs(ks).max()) * self._inv_q2[0])
-        rows = max(1, _BLOCK_CELLS // len(self._q))
+        ks = ks[live]
+        k_max = int(np.abs(ks).max())
+        if k_max * self._inv_q2[0] <= XI_MOMENTS:
+            evaluate, cells = self._by_moments, min(math.isqrt(k_max), self.q_hi)
+            rows = max(1, _DIVISOR_CELLS // cells)  # one _divisors grid block each
+        else:
+            # one table growth up front; growing it block by block costs more
+            # than the coefficients themselves
+            self.bump.fourier_transform.grow(k_max * self._inv_q2[0])
+            evaluate, rows = self._by_ramanujan_sums, max(1, _BLOCK_CELLS // len(self._q))
         for i in range(0, len(ks), rows):
-            kb = ks[i:i + rows, None]
-            c = ramanujan_sum(self._q, kb)
-            xi = kb * self._inv_q2
-            f = self.bump.fourier_transform(xi)
-            out[i:i + rows] = np.sum(c * self._inv_q2 * f, axis=1)
+            out[live[i:i + rows]] = evaluate(ks[i:i + rows])
         return out
+
+    def _by_ramanujan_sums(self, ks) -> np.ndarray:
+        """sum over q of c_q(k)/q^2 times the tabulated F phi(k/q^2), one row of q per k."""
+        kb = ks[:, None]
+        f = self.bump.fourier_transform(kb * self._inv_q2)
+        return np.sum(ramanujan_sum(self._q, kb) * self._inv_q2 * f, axis=1)
+
+    def _by_moments(self, ks) -> np.ndarray:
+        """sum over divisors delta <= 5Q of k of delta^-1 sum_m a_m (k/delta^2)^m G_m(delta).
+
+        With F phi(xi) = sum_m a_m xi^m (``BumpSpec.taylor``) and q = j delta,
+        G_m(delta) = sum of mu(j) j^(-2-2m) over Q <= j delta <= 5Q, a
+        difference of two tail sums. Each (k, delta) pair is one Horner
+        polynomial in s = k/delta^2, and the pairs are summed per k.
+        """
+        tails = self._moment_tails()
+        row, delta = _divisors(np.abs(ks), self.q_hi)
+        s = ks[row] / delta.astype(np.float64) ** 2
+        lo, hi = -(-self.q_lo // delta), self.q_hi // delta + 1  # j in [lo, hi)
+        a = self.bump.taylor
+        v = a[-1] * (tails[-1, lo] - tails[-1, hi])
+        for m in range(MOMENTS - 2, -1, -1):
+            v *= s
+            v += a[m] * (tails[m, lo] - tails[m, hi])
+        v /= delta
+        return np.bincount(row, v.real, len(ks)) + 1j * np.bincount(row, v.imag, len(ks))
+
+    def _moment_tails(self) -> np.ndarray:
+        """T[m, j] = sum_{j' = j}^{5Q} mu(j') j'^(-2-2m) for m < MOMENTS, j <= 5Q + 1 (T = 0 there).
+
+        Accumulated from the top, so the small tails keep their own precision.
+        """
+        if self._tails is None:
+            inv_j2 = 1.0 / np.arange(1, self.q_hi + 1, dtype=np.float64) ** 2
+            term = self._mu[1:self.q_hi + 1] * inv_j2
+            self._tails = np.zeros((MOMENTS, self.q_hi + 2))
+            for m in range(MOMENTS):
+                self._tails[m, 1:-1] = np.cumsum(term[::-1])[::-1]
+                term *= inv_j2
+        return self._tails
 
     def phi_hat(self, k: int) -> complex:
         """Phi_hat(k) for one k."""
@@ -238,33 +307,17 @@ _SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 SMOOTH_KEEP = 500  # phi_hat_max_scan keeps this many top-ranked smooth candidates
 
 
-def _smooth_numbers(lo: int, hi: int):
-    """All {2,...,19}-smooth integers in [lo, hi] with their factorizations."""
-    out = []
-
-    def rec(idx: int, val: int, fac: tuple):
-        if idx == len(_SMOOTH_PRIMES):
-            if val >= lo:
-                out.append((val, fac))
-            return
-        p = _SMOOTH_PRIMES[idx]
-        v = val
-        e = 0
-        while v <= hi:
-            rec(idx + 1, v, fac + ((p, e),) if e else fac + ())
-            e += 1
-            v *= p
-
-    rec(0, 1, ())
-    return out
-
-
-def _window_divisor_score(fac, q_lo: int, q_hi: int) -> float:
-    """sum of 1/q over divisors q in [q_lo, q_hi], from the factorization."""
-    divisors = [1]
-    for p, e in fac:
-        divisors = [d * p**i for d in divisors for i in range(e + 1) if d * p**i <= q_hi]
-    return sum(1.0 / q for q in divisors if q >= q_lo)
+def _smooth_numbers(lo: int, hi: int) -> np.ndarray:
+    """All {2,...,19}-smooth integers in [lo, hi], ascending."""
+    vals = [1]
+    for p in _SMOOTH_PRIMES:
+        grown = []
+        for v in vals:
+            while v <= hi:
+                grown.append(v)
+                v *= p
+        vals = grown
+    return np.array(sorted(v for v in vals if v >= lo), dtype=np.int64)
 
 
 def phi_hat_max_scan(phi: PhiData, k_limit: int | None = None,
@@ -300,13 +353,14 @@ def phi_hat_max_scan(phi: PhiData, k_limit: int | None = None,
         for p2 in prime_window[i:48]:
             if p1 * p2 <= k_limit:
                 candidates.add(p1 * p2)
-    scored = []
-    for val, fac in _smooth_numbers(Q, min(500 * Q * Q, k_limit)):
-        score = _window_divisor_score(fac, phi.q_lo, phi.q_hi)
-        if score > 0:
-            scored.append((score, val))
-    scored.sort(reverse=True)
-    candidates.update(val for _, val in scored[:SMOOTH_KEEP])
+    # window divisor mass sum 1/q over divisors q of val in [Q, 5Q]; the
+    # top SMOOTH_KEEP by score, ties to the larger val
+    smooth = _smooth_numbers(Q, min(500 * Q * Q, k_limit))
+    i, q = _divisors(smooth, phi.q_hi)
+    window = q >= phi.q_lo
+    score = np.bincount(i[window], 1.0 / q[window], len(smooth))
+    top = np.lexsort((smooth, score))[::-1][:SMOOTH_KEEP]
+    candidates.update(smooth[top[score[top] > 0]].tolist())
     dense_k = dense_limit if dense_limit is not None else (4 * Q if Q <= 1024 else 0)
     dense_k = min(dense_k, k_limit)
     # ascending k, so argmax's first maximum keeps ties on the first k found
@@ -337,10 +391,9 @@ class KernelDecomposition:
     regime_ok: bool
 
     def __post_init__(self):
-        # normalize by the same evaluator used for every k, so the on-curve
-        # coefficient cancels exactly (x/x = 1 in IEEE); agrees with the
-        # closed-form phi_hat0() to rounding
-        self._phi_hat0 = float(self.phi.phi_hat(0).real)
+        # phi_hat(0) returns this same float, so the on-curve coefficient
+        # cancels exactly (x/x = 1 in IEEE)
+        self._phi_hat0 = self.phi.phi_hat0()
 
     @property
     def phi_hat0(self) -> float:

@@ -552,28 +552,64 @@ def test_ramanujan_sum_broadcasts_like_gcd_oracle():
         assert np.array_equal(got, _ramanujan_gcd_oracle(qq, nn))
 
 
-def test_ramanujan_sum_bit_identical_on_scan_candidates(monkeypatch):
-    # every k that phi_hat_max_scan evaluates at criterion 08's N = 16 and 23
+def _scan_candidates(monkeypatch, N):
+    """Every k that phi_hat_max_scan evaluates at Q = N^2, k <= 2N^3."""
     seen = []
     many = weyl.PhiData.phi_hat_many
-    monkeypatch.setattr(weyl.PhiData, "phi_hat_many",
-                        lambda self, ks: seen.append(np.array(ks)) or many(self, ks))
-    for N in (16, 23):
-        seen.clear()
+    with monkeypatch.context() as m:
+        m.setattr(weyl.PhiData, "phi_hat_many",
+                  lambda self, ks: seen.append(np.array(ks)) or many(self, ks))
         weyl.phi_hat_max_scan(weyl.build_phi(N * N), k_limit=2 * N**3)
-        _assert_rows_match_oracle(N * N, seen[0])
+    return seen[0]
+
+
+def test_ramanujan_sum_bit_identical_on_scan_candidates(monkeypatch):
+    # every k that phi_hat_max_scan evaluates at criterion 08's N = 16 and 23
+    for N in (16, 23):
+        _assert_rows_match_oracle(N * N, _scan_candidates(monkeypatch, N))
+
+
+def test_divisors_of_scan_candidates_by_trial_division(monkeypatch):
+    # the moment path of Phi_hat reads exactly these pairs: every divisor up
+    # to 5Q of every scan candidate, each once
+    for N in (16, 23):
+        ks, top = _scan_candidates(monkeypatch, N), 5 * N * N
+        i, d = counting._divisors(ks, top)
+        trial = np.arange(1, top + 1)
+        for row, k in enumerate(ks.tolist()):
+            assert sorted(d[i == row].tolist()) == (trial[k % trial == 0]).tolist(), (N, k)
 
 
 def test_phi_hat_many_bytes_match_gcd_oracle(monkeypatch):
-    # the same evaluator with c_q(k) from the gcd oracle gives the same bytes
+    # table path (largest xi = |k|/Q^2 past XI_MOMENTS): the same evaluator
+    # with c_q(k) from the gcd oracle gives the same bytes
     rng = np.random.default_rng(17)
     for Q in (64, 1024):
         p = weyl.build_phi(Q)
-        ks = np.concatenate((np.arange(-5, 4 * Q + 1), rng.integers(-10**6, 10**6, 64)))
+        ks = np.concatenate((np.arange(-5, 4 * Q + 1), rng.integers(-10**8, 10**8, 64)))
+        assert np.abs(ks).max() > weyl.XI_MOMENTS * Q * Q
         got = p.phi_hat_many(ks).tobytes()
         with monkeypatch.context() as m:
             m.setattr(weyl, "ramanujan_sum", _ramanujan_gcd_oracle)
             assert p.phi_hat_many(ks).tobytes() == got, Q
+
+
+def test_phi_hat_moments_match_gcd_oracle_through_the_rule():
+    # moment path (every xi at most XI_MOMENTS), which reads no Ramanujan
+    # sums: within 1e-14 of sum |terms| of the gcd-oracle sum over q of
+    # c_q(k)/q^2 times the bump's trapezoid rule
+    rng = np.random.default_rng(18)
+    for Q in (64, 1024):
+        p = weyl.build_phi(Q)
+        ks = np.concatenate((np.arange(-5, 4 * Q + 1, Q // 64), rng.integers(-Q * Q, Q * Q, 64)))
+        got = p.phi_hat_many(ks)
+        q = np.arange(Q, 5 * Q + 1)
+        for i in range(0, len(ks), 64):
+            kb = ks[i:i + 64, None]
+            terms = (_ramanujan_gcd_oracle(q, kb) / q.astype(float) ** 2
+                     * p.bump.fourier_transform_quad(kb / q.astype(float) ** 2))
+            err = np.abs(got[i:i + 64] - terms.sum(axis=1))
+            assert np.all(err <= 1e-14 * np.abs(terms).sum(axis=1)), (Q, i)
 
 
 def test_divisors_bounded():
@@ -589,7 +625,9 @@ def test_divisors_bounded():
     assert listed([36], 10) == [(0, v) for v in (1, 2, 3, 4, 6, 9)]
     assert listed([36], 5) == [(0, v) for v in (1, 2, 3, 4)]
     assert listed([7], 0) == listed([0], 9) == listed([], 9) == []
-    for ks, top in (([0, 1, 2, 12, 49, 360, 997], 20), (list(range(60)), 60), ([1234567], 1000)):
+    # range(5000) against top 60 walks the grid in five row blocks
+    for ks, top in (([0, 1, 2, 12, 49, 360, 997], 20), (list(range(60)), 60), ([1234567], 1000),
+                    (list(range(5000)), 60)):
         assert listed(ks, top) == trial(ks, top), (ks, top)
     big = 2**20 * 3**15  # the mask stops at top, not at isqrt(big) ~ 4e6
     assert listed([big], 100) == [(0, v) for v in range(1, 101) if big % v == 0]

@@ -8,7 +8,7 @@ import pytest
 from dispersive_lab import kernels
 from dispersive_lab.kernels import BandCapExceeded
 from dispersive_lab.norms import _window_table
-from dispersive_lab.weyl import BumpSpec, minor_arc_points
+from dispersive_lab.weyl import MOMENTS, XI_MOMENTS, BumpSpec, minor_arc_points
 
 ULP = 2.0**-53
 
@@ -146,3 +146,15 @@ def test_tabulated_read_at_a_node_returns_the_entry(table):
     nodes = np.arange(table._nodes[0], table._coef.shape[1] + table._nodes[-1])
     want = table.direct(nodes * table.step)[np.abs(n) - nodes[0]]
     assert np.array_equal(got, np.where(n < 0, np.conj(want), want))
+
+
+@pytest.mark.parametrize("table, terms", [(BumpSpec().fourier_transform, MOMENTS),
+                                          (_window_table(3), 40)],
+                         ids=["bump-moments", "window-j3-odd"])
+def test_taylor_series_is_the_rule(table, terms):
+    # sum_m a_m w^m against the trapezoid rule it expands, where every node
+    # phase |w tau| is at most 1 (at most XI_MOMENTS for the bump)
+    reach = abs(table.centre) + table.offsets.max()
+    w = np.linspace(-1.0, 1.0, 201) * min(XI_MOMENTS, 1.0 / reach)
+    got = np.polyval(table.taylor(terms)[::-1], w)
+    assert np.abs(got - table.direct(w)).max() <= 1e-15 * np.abs(table.weights).sum()

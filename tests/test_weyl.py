@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dispersive_lab import counting
+from dispersive_lab import counting, weyl
 from dispersive_lab.counting import mobius_phi_sieve
 from dispersive_lab.kernels import curve_sum
 from dispersive_lab.weyl import (
@@ -185,13 +185,15 @@ def test_phi_hat0_formula():
     assert p.phi_hat0() > 0
 
 
-def _phi_hat_divisor_oracle(p, ks):
+def _phi_hat_divisor_oracle(p, ks, transform):
     """Phi_hat(k) with c_q(k) = sum over delta | (q, k) of delta mu(q/delta), and sum |terms|.
 
     This is the same divisor-sum form that ``counting.ramanujan_sum`` now
     uses, so it checks the evaluator's assembly, not the Ramanujan sums; the
     independent check of those is the np.gcd Moebius-quotient oracle in
     test_counting.py (test_ramanujan_sum_bit_identical_to_gcd_oracle).
+    ``transform`` is the bump transform the terms read: the trapezoid rule
+    (``fourier_transform_quad``) or its table (``fourier_transform``).
     """
     mu = mobius_phi_sieve()[0]
     q = np.arange(p.q_lo, p.q_hi + 1, dtype=np.int64)
@@ -199,30 +201,62 @@ def _phi_hat_divisor_oracle(p, ks):
     for row, k in zip(c, ks):
         # every delta divides 0; otherwise the divisors of k up to 5Q
         deltas = range(1, p.q_hi + 1) if k == 0 else [
-            v for i in range(1, math.isqrt(k) + 1) if k % i == 0
-            for v in {i, k // i} if v <= p.q_hi]
+            v for i in range(1, math.isqrt(abs(k)) + 1) if k % i == 0
+            for v in {i, abs(k) // i} if v <= p.q_hi]
         for delta in deltas:
             first = -(-p.q_lo // delta) * delta  # least multiple of delta in [Q, 5Q]
             hit = slice(first - p.q_lo, None, delta)
             row[hit] += delta * mu[q[hit] // delta]
     xi = np.asarray(ks, dtype=float)[:, None] / q.astype(float) ** 2
-    terms = c / q.astype(float) ** 2 * p.bump.fourier_transform(xi.ravel()).reshape(xi.shape)
+    terms = c / q.astype(float) ** 2 * transform(xi.ravel()).reshape(xi.shape)
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
 def test_phi_hat_dense_matches_exact():
-    # the batched evaluator against the divisor-sum form of c_q, on the
-    # dense window k = 0..4Q and on random k up to 2 Q^{3/2}
+    # the moment path (every xi = |k|/q^2 at most XI_MOMENTS) against the
+    # trapezoid rule itself, on the dense window k = 0..4Q (every Q/64-th k
+    # checked) and on random k up to 2 Q^{3/2}; the oracle reads the rule, as
+    # the 4-point table sits up to 3.9e-13 of the scale from it
     rng = np.random.default_rng(31)
     for Q in (64, 256, 1024):
         p = build_phi(Q)
         ks = np.concatenate((np.arange(0, 4 * Q + 1),
                              rng.integers(1, int(2 * Q**1.5) + 1, 48)))
+        assert ks.max() <= weyl.XI_MOMENTS * Q * Q
         got = p.phi_hat_many(ks)
-        for i in range(0, len(ks), 128):
-            want, scale = _phi_hat_divisor_oracle(p, ks[i:i + 128].tolist())
-            assert np.all(np.abs(got[i:i + 128] - want) <= 1e-13 * scale), Q
+        check = np.r_[0:4 * Q + 1:Q // 64, 4 * Q + 1:len(ks)]
+        for i in range(0, len(check), 128):
+            idx = check[i:i + 128]
+            want, scale = _phi_hat_divisor_oracle(p, ks[idx].tolist(),
+                                                  p.bump.fourier_transform_quad)
+            assert np.all(np.abs(got[idx] - want) <= 1e-14 * scale), Q
         assert np.array_equal(p.phi_hat_dense(16), got[:17])
+
+
+def test_phi_hat_table_path_matches_exact():
+    # a call whose largest xi passes XI_MOMENTS takes the table path for
+    # every k, checked against the divisor-sum form through the same table
+    rng = np.random.default_rng(32)
+    for Q in (64, 256, 1024):
+        p = build_phi(Q)
+        ks = np.concatenate((np.arange(-5, 64), rng.integers(-2 * Q * Q, 2 * Q * Q, 48),
+                             [2 * Q * Q]))
+        got = p.phi_hat_many(ks)
+        want, scale = _phi_hat_divisor_oracle(p, ks.tolist(), p.bump.fourier_transform)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), Q
+
+
+def test_phi_hat_paths_agree_at_the_regime_boundary():
+    # largest xi exactly XI_MOMENTS (moment path) and one step past it (table
+    # path): the shared ks agree within 1e-12 of Phi_hat(0)
+    for Q in (16, 64, 256):
+        p = build_phi(Q)
+        edge = int(weyl.XI_MOMENTS * Q * Q)
+        ks = np.concatenate((np.arange(-40, 4 * Q + 1), [Q * Q // 2, edge - 1, edge]))
+        below = p.phi_hat_many(ks)
+        above = p.phi_hat_many(np.append(ks, edge + 1))[:-1]
+        assert not np.array_equal(below, above)  # two paths, not one
+        assert np.abs(below - above).max() <= 1e-12 * p.phi_hat0(), Q
 
 
 def test_phi_eval_support():
@@ -269,6 +303,19 @@ def test_k2_hat_vanishes_on_curve_exactly():
         assert dec.phi.phi_hat_dense(2 * N**d)[0] == dec.phi_hat0
         for n in range(-N, N + 1):
             assert dec.k2_hat(n, n**d) == 0.0
+
+
+def test_kernel_regime_reads_no_ramanujan_sums(monkeypatch):
+    # the normaliser is the closed form and kernel-regime k take the moment
+    # path: decompose_kernel at Q = 16384 builds no Ramanujan row
+    def refuse(q, n):
+        raise AssertionError("Ramanujan row built")
+
+    monkeypatch.setattr(weyl, "ramanujan_sum", refuse)
+    dec = decompose_kernel(128, 3, 128**2)
+    assert dec.phi_hat0 == dec.phi.phi_hat0() == dec.phi.phi_hat(0).real
+    assert all(dec.k2_hat(n, n**3) == 0.0 for n in (-128, -1, 0, 5, 128))
+    assert np.all(np.isfinite(dec.phi.phi_hat_many(np.arange(-2 * 128**3, 2 * 128**3, 4099))))
 
 
 def test_k2_hat_off_curve_rule():
