@@ -117,13 +117,13 @@ class TabulatedTransform:
     def taylor(self, terms: int) -> np.ndarray:
         """a_0, ..., a_{terms-1} of direct(w) = sum_m a_m w^m: the rule's own Taylor series.
 
-        A node pair centre +- o_k of weight v_k / 2 each (the sin sum's pair
-        with opposite signs) gives a_m = (-i)^m / m! times the node moments
-        sum_k v_k ((centre + o_k)^m +- (centre - o_k)^m) / 2.
+        For an even f: a node pair centre +- o_k of weight v_k / 2 each gives
+        a_m = (-i)^m / m! times the node moments
+        sum_k v_k ((centre + o_k)^m + (centre - o_k)^m) / 2.
         """
+        assert not self.odd, "the Taylor series of an odd table is not implemented"
         hi, lo = self.centre + self.offsets, self.centre - self.offsets
-        sign = -1.0 if self.odd else 1.0
-        return np.array([self.weights @ (hi**m + sign * lo**m) / 2
+        return np.array([self.weights @ (hi**m + lo**m) / 2
                          * (1, -1j, -1, 1j)[m % 4] / math.factorial(m) for m in range(terms)])
 
     def grow(self, w_max: float):

@@ -4,15 +4,16 @@ The circle-method side of the lab: a smooth bump is planted on the Farey
 arcs [a/q + 1/(200 q^2), a/q + 1/(100 q^2)] for q in [Q, 5Q], and its
 Fourier coefficients Phi_hat(k) come from one batched evaluator,
 ``PhiData.phi_hat_many``, with two paths chosen by the largest
-xi = |k|/Q^2 of a call. Up to ``XI_MOMENTS`` (the kernel regime: Q >= N^(d-1),
-k <= 2 N^d gives xi <= 2/N at d = 3) the bump transform is its own short
-Taylor series, and with c_q(k) = sum_{delta | (q, k)} delta mu(q/delta)
-the sum over q collapses onto the divisors delta <= 5Q of k: O(tau(k))
-work per coefficient against tail sums of mu(j) j^(-2-2m) tabulated once
-per Q. Past it, every (k, q) cell gets an exact Ramanujan sum and a read of
-the tabulated transform, O(Q) work per coefficient. The Dirichlet curve
-kernel K_N splits into a bounded major-arc part and a part with uniformly
-small Fourier coefficients vanishing on the curve. The bump's real-line
+xi = |k|/Q^2 of a call. Up to ``XI_MOMENTS`` (the kernel regime Q = N^(d-1),
+k <= 2 N^d has xi <= 2 N^(2-d): inside it for d >= 3, while d = 2 takes the
+table path) the bump transform is its own short Taylor series, and with
+c_q(k) = sum_{delta | (q, k)} delta mu(q/delta) the sum over q collapses
+onto the divisors delta <= 5Q of k: O(tau(k)) work per coefficient against
+tail sums of mu(j) j^(-2-2m) tabulated once per Q. Past it, every (k, q)
+cell gets an exact Ramanujan sum and a read of the tabulated transform,
+O(Q) work per coefficient. The Dirichlet curve kernel K_N splits into a
+bounded major-arc part and a part with uniformly small Fourier coefficients
+vanishing on the curve. The bump's real-line
 transform is ``kernels.TabulatedTransform`` of a 256-interval trapezoid
 rule, the evaluator that also serves the windows of ``norms``.
 """
@@ -27,8 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .counting import (_DIVISOR_CELLS, DEFAULT_SIEVE_LIMIT, _divisors, mobius_phi_sieve,
-                       ramanujan_sum)
+from .counting import DEFAULT_SIEVE_LIMIT, _divisors, mobius_phi_sieve, ramanujan_sum
 from .kernels import TabulatedTransform, curve_sum
 
 TWO_PI = 2.0 * math.pi
@@ -192,12 +192,13 @@ class PhiData:
 
         k = 0 reads ``phi_hat0()``. The other ks take one of two paths, by the
         largest xi = |k|/Q^2 among them. Up to ``XI_MOMENTS`` (the kernel
-        regime), the moment path: O(tau(k)) work per coefficient, within
-        about 5e-16 of sum_q |c_q(k)/q^2 F phi(k/q^2)| of the sum through the
-        trapezoid rule itself. Past it, the table path: an exact Ramanujan sum
+        regime at d >= 3), the moment path: O(tau(k)) work per coefficient,
+        within about 5e-16 of sum_q |c_q(k)/q^2 F phi(k/q^2)| of the sum
+        through the trapezoid rule itself. Past it, the table path: an exact Ramanujan sum
         per (k, q) cell, the tabulated bump transform (4e-13 of the peak from
-        the rule), and a pairwise sum over q per k. The paths work on blocks
-        of about _DIVISOR_CELLS divisor-grid cells and _BLOCK_CELLS (k, q)
+        the rule), and a pairwise sum over q per k. The moment path takes the
+        ks in one call (``_divisors`` blocks its own grid; the pairs are
+        O(sum tau(k))), the table path in blocks of about _BLOCK_CELLS (k, q)
         cells.
         """
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
@@ -208,15 +209,14 @@ class PhiData:
         ks = ks[live]
         k_max = int(np.abs(ks).max())
         if k_max * self._inv_q2[0] <= XI_MOMENTS:
-            evaluate, cells = self._by_moments, min(math.isqrt(k_max), self.q_hi)
-            rows = max(1, _DIVISOR_CELLS // cells)  # one _divisors grid block each
-        else:
-            # one table growth up front; growing it block by block costs more
-            # than the coefficients themselves
-            self.bump.fourier_transform.grow(k_max * self._inv_q2[0])
-            evaluate, rows = self._by_ramanujan_sums, max(1, _BLOCK_CELLS // len(self._q))
+            out[live] = self._by_moments(ks)
+            return out
+        # one table growth up front; growing it block by block costs more
+        # than the coefficients themselves
+        self.bump.fourier_transform.grow(k_max * self._inv_q2[0])
+        rows = max(1, _BLOCK_CELLS // len(self._q))
         for i in range(0, len(ks), rows):
-            out[live[i:i + rows]] = evaluate(ks[i:i + rows])
+            out[live[i:i + rows]] = self._by_ramanujan_sums(ks[i:i + rows])
         return out
 
     def _by_ramanujan_sums(self, ks) -> np.ndarray:
@@ -246,7 +246,7 @@ class PhiData:
         return np.bincount(row, v.real, len(ks)) + 1j * np.bincount(row, v.imag, len(ks))
 
     def _moment_tails(self) -> np.ndarray:
-        """T[m, j] = sum_{j' = j}^{5Q} mu(j') j'^(-2-2m) for m < MOMENTS, j <= 5Q + 1 (T = 0 there).
+        """T[m, j] = sum_{j'=j}^{5Q} mu(j') j'^(-2-2m) for m < MOMENTS, j <= 5Q + 1 (T = 0 there).
 
         Accumulated from the top, so the small tails keep their own precision.
         """

@@ -213,10 +213,11 @@ def _phi_hat_divisor_oracle(p, ks, transform):
 
 
 def test_phi_hat_dense_matches_exact():
-    # the moment path (every xi = |k|/q^2 at most XI_MOMENTS) against the
-    # trapezoid rule itself, on the dense window k = 0..4Q (every Q/64-th k
-    # checked) and on random k up to 2 Q^{3/2}; the oracle reads the rule, as
-    # the 4-point table sits up to 3.9e-13 of the scale from it
+    # the moment path (every xi = |k|/q^2 at most XI_MOMENTS) on the dense
+    # window k = 0..4Q and on random k up to 2 Q^{3/2}: every k against the
+    # divisor-sum form through the 4-point table, within the table's own
+    # error (up to 3.9e-13 of the scale from the rule), and every (Q/64)-th
+    # dense k plus the random ks against the rule itself at 1e-14
     rng = np.random.default_rng(31)
     for Q in (64, 256, 1024):
         p = build_phi(Q)
@@ -224,9 +225,13 @@ def test_phi_hat_dense_matches_exact():
                              rng.integers(1, int(2 * Q**1.5) + 1, 48)))
         assert ks.max() <= weyl.XI_MOMENTS * Q * Q
         got = p.phi_hat_many(ks)
-        check = np.r_[0:4 * Q + 1:Q // 64, 4 * Q + 1:len(ks)]
-        for i in range(0, len(check), 128):
-            idx = check[i:i + 128]
+        on_rule = np.zeros(len(ks), dtype=bool)
+        on_rule[np.r_[0:4 * Q + 1:Q // 64, 4 * Q + 1:len(ks)]] = True
+        for i in range(0, len(ks), 128):
+            idx = np.arange(i, min(i + 128, len(ks)))
+            want, scale = _phi_hat_divisor_oracle(p, ks[idx].tolist(), p.bump.fourier_transform)
+            assert np.all(np.abs(got[idx] - want) <= 5e-13 * scale), Q
+            idx = idx[on_rule[idx]]
             want, scale = _phi_hat_divisor_oracle(p, ks[idx].tolist(),
                                                   p.bump.fourier_transform_quad)
             assert np.all(np.abs(got[idx] - want) <= 1e-14 * scale), Q
