@@ -94,9 +94,10 @@ def _run_count(cfg, out, telemetry):
             rows.append((d, b, N, s_val))
             svals.append(s_val)
             if cfg["table"]:
-                table = counting.power_sum_distribution(
+                columns = counting.power_sum_distribution(
                     SystemSpec(d, b, N), mem_budget=cfg["mem_budget"])
-                table.to_csv(os.path.join(out, f"table_d{d}_b{b}_N{N}.csv"))
+                write_csv(os.path.join(out, f"table_d{d}_b{b}_N{N}.csv"), ["A", "B", "count"],
+                          zip(*(column.tolist() for column in columns)))
         slope = _fit_slope(n_list, svals) if len(n_list) >= 2 else None
         series.append({"label": f"b={b}", "x": n_list, "y": svals, "slope": slope})
     write_csv(os.path.join(out, "count_scan.csv"),

@@ -19,6 +19,9 @@ which also rules out a sparse refusal. For d >= 3 the tables fill well
 under 1% of their grid, so this covers most inputs; the grid rule decides
 the rest. Counts are int64 end to end, ``_plan`` refuses keys that would
 wrap, and sums of squares are Python ints, so every reported count is exact.
+Whatever the layout, a table leaves this module as its (A, B, value)
+columns (``power_sum_distribution``) or as one sum (``count_S``,
+``weighted_square_sum``) taken on the layout in place.
 
 Unweighted tables are symmetric under n -> -n, which sends (A, B) to
 (-A, (-1)^d B), so half of each is built and the rest copied: dense levels
@@ -89,68 +92,6 @@ class SystemSpec:
 
 def _deltas(d: int, N: int):
     return [(n, n**d) for n in range(-N, N + 1)]
-
-
-@dataclass
-class CountTable:
-    """Sparse or dense associative table (A, B) -> count / complex amplitude."""
-
-    spec: SystemSpec
-    weighted: bool
-    dense: np.ndarray | None = None  # shape (2bN+1, 2bN^d+1)
-    keys: np.ndarray | None = None   # packed sorted int64 keys
-    values: np.ndarray | None = None
-
-    @property
-    def _stride(self) -> int:
-        return 2 * self.spec.b_extent + 1
-
-    def _pack(self, A: int, B: int) -> int:
-        return (A + self.spec.a_extent) * self._stride + (B + self.spec.b_extent)
-
-    def entry(self, A: int, B: int):
-        if abs(A) > self.spec.a_extent or abs(B) > self.spec.b_extent:
-            return 0
-        if self.dense is not None:
-            v = self.dense[A + self.spec.a_extent, B + self.spec.b_extent]
-            return complex(v) if self.weighted else int(v)
-        idx = np.searchsorted(self.keys, self._pack(A, B))
-        if idx < len(self.keys) and self.keys[idx] == self._pack(A, B):
-            v = self.values[idx]
-            return complex(v) if self.weighted else int(v)
-        return 0j if self.weighted else 0
-
-    def columns(self):
-        """(A, B, value) arrays of the nonzero dense cells or all sparse keys, in (A, B) order."""
-        if self.dense is not None:
-            ii, jj = np.nonzero(self.dense)
-            return ii - self.spec.a_extent, jj - self.spec.b_extent, self.dense[ii, jj]
-        return (self.keys // self._stride - self.spec.a_extent,
-                self.keys % self._stride - self.spec.b_extent, self.values)
-
-    def items(self):
-        return zip(*(column.tolist() for column in self.columns()))
-
-    def total_mass(self):
-        arr = self.dense if self.dense is not None else self.values
-        total = arr.sum(dtype=object if not self.weighted else None)
-        return complex(total) if self.weighted else int(total)
-
-    def sum_of_squared_moduli(self):
-        """sum |entry|^2; exact Python int for unweighted tables."""
-        if self.weighted:
-            arr = self.dense if self.dense is not None else self.values
-            return float(np.sum(np.abs(arr) ** 2))
-        return _square_sum(self.dense if self.dense is not None else [self.values])
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("A,B,count\n")
-            for A, B, v in sorted(self.items()):
-                if self.weighted:
-                    fh.write(f"{A},{B},{v.real:.17g}{v.imag:+.17g}j\n")
-                else:
-                    fh.write(f"{A},{B},{v}\n")
 
 
 def _square_sum(rows) -> int:
@@ -330,24 +271,40 @@ def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = Tru
     return keys, vals
 
 
-def power_sum_distribution(spec: SystemSpec, weights=None,
-                           mem_budget: int = DEFAULT_MEM_BUDGET) -> CountTable:
-    """Distribution of (sum n_i, sum n_i^d) over b-tuples, optionally amplitude-weighted.
-
-    ``weights`` is a coefficient vector indexed by n in [-N, N]; unit weights
-    count tuples. The layout (dense grid or sorted sparse keys) is the one
-    ``_plan`` picks for the budget.
-    """
-    weighted = weights is not None
-    if weighted:
+def _top_level(spec: SystemSpec, weights, mem_budget: int):
+    """The b-tuple table in the layout ``_plan`` picks: (grid, None) or (keys, values)."""
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.complex128)
         if len(weights) != 2 * spec.N + 1:
             raise ValueError("weights must cover n in [-N, N]")
-    if _plan(spec, mem_budget, weighted) == "dense":
-        dense = deque(_dense_levels(spec, weights), maxlen=1)[0]
-        return CountTable(spec, weighted, dense=dense)
-    keys, vals = _build_sparse(spec, weights, mem_budget)
-    return CountTable(spec, weighted, keys=keys, values=vals)
+    if _plan(spec, mem_budget, weights is not None) == "dense":
+        return deque(_dense_levels(spec, weights), maxlen=1)[0], None
+    return _build_sparse(spec, weights, mem_budget)
+
+
+def power_sum_distribution(spec: SystemSpec, weights=None,
+                           mem_budget: int = DEFAULT_MEM_BUDGET):
+    """Distribution of (sum n_i, sum n_i^d) over b-tuples, optionally amplitude-weighted.
+
+    ``weights`` is a coefficient vector indexed by n in [-N, N]; unit weights
+    count tuples (int64) and others sum amplitudes (complex128). Returns the
+    arrays (A, B, value) in (A, B) order: the nonzero cells of a dense grid,
+    or every key of sparse keys, whichever layout ``_plan`` picks for the
+    budget; a weighted sparse key may hold a zero sum.
+    """
+    top, vals = _top_level(spec, weights, mem_budget)
+    if vals is None:
+        ii, jj = np.nonzero(top)
+        return ii - spec.a_extent, jj - spec.b_extent, top[ii, jj]
+    stride = 2 * spec.b_extent + 1
+    return top // stride - spec.a_extent, top % stride - spec.b_extent, vals
+
+
+def weighted_square_sum(spec: SystemSpec, weights,
+                        mem_budget: int = DEFAULT_MEM_BUDGET) -> float:
+    """sum over (A, B) of |value|^2 of the weighted table, read in place from its layout."""
+    top, vals = _top_level(spec, weights, mem_budget)
+    return float(np.sum(np.abs(top if vals is None else vals) ** 2))
 
 
 def dense_top_levels(spec: SystemSpec, weights, mem_budget: int = DEFAULT_MEM_BUDGET):
@@ -436,7 +393,7 @@ def max_offcurve_solution_count(d: int, N: int) -> int:
         raise Int64OverflowError(
             f"max_offcurve_solution_count(d={d}, N={N}) needs integers up to "
             f"{(3 * N) ** d:.3e}, beyond int64 ({INT64_MAX:.3e})")
-    A, B, counts = power_sum_distribution(SystemSpec(d, 3, N)).columns()
+    A, B, counts = power_sum_distribution(SystemSpec(d, 3, N))
     off = counts[B != A**d]
     return int(off.max()) if len(off) else 0
 
@@ -586,7 +543,10 @@ def divisor_count(n: int, Q: int) -> int:
     return len(_divisors([abs(n)], Q - 1)[0])
 
 
-def ramanujan_block_ratio(Q: int, n: int, eps: float = 0.05) -> float:
-    """sum_{Q <= q < 2Q} |c_q(n)| divided by d(n, Q) * Q^{1+eps}."""
+BLOCK_RATIO_EPS = 0.05  # the epsilon of ramanujan_block_ratio's Q^{1+eps}
+
+
+def ramanujan_block_ratio(Q: int, n: int) -> float:
+    """sum_{Q <= q < 2Q} |c_q(n)| divided by d(n, Q) * Q^{1+eps}, eps = BLOCK_RATIO_EPS."""
     block = int(np.abs(ramanujan_sum(np.arange(Q, 2 * Q), n)).sum())
-    return block / (divisor_count(n, Q) * Q ** (1.0 + eps))
+    return block / (divisor_count(n, Q) * Q ** (1.0 + BLOCK_RATIO_EPS))

@@ -14,7 +14,6 @@ products and truncations.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,8 @@ TWO_PI = 2.0 * math.pi
 RESONANCE_TOL = 1e-9
 TERM_CAP = 2500  # exact Picard iterates hold at most this many terms
 WORK_CAP = 5e6  # and predict at most this much spectral-product work
+CONTRACTION_RATIO = 0.5  # contraction_achieved: the largest accepted diff-norm ratio
+CONTRACTION_RUN = 4  # and how many steps in a row must keep it
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,8 @@ def u_p2() -> NonlinearitySpec:
 # linear flow
 
 
-def linear_flow(phi: FourierSeries, t: float) -> FourierSeries:
-    """e^{-t d_x^5} phi: multiplies mode n by e^{-i n^5 t}; an H^s isometry."""
-    return FourierSeries(
-        phi.convention,
-        {n: c * cmath.exp(-1j * dispersion(n) * t) for n, c in phi.coeff.items()},
-    )
-
-
 def flow_trajectory(phi: FourierSeries) -> HarmonicTrajectory:
+    """e^{-t d_x^5} phi as a harmonic sum: mode n runs at frequency -n^5; an H^s isometry."""
     return HarmonicTrajectory(
         phi.convention, {(n, 0, -dispersion(n)): c for n, c in phi.coeff.items()}
     )
@@ -166,8 +160,7 @@ def duhamel(w: HarmonicTrajectory, horizon: float = 1.0) -> HarmonicTrajectory:
     return HarmonicTrajectory.from_columns(n, p, lam, c, real)
 
 
-def first_iterate(phi: FourierSeries, spec: NonlinearitySpec,
-                  band_cap: int = DEFAULT_BAND_CAP) -> HarmonicTrajectory:
+def first_iterate(phi: FourierSeries, spec: NonlinearitySpec) -> HarmonicTrajectory:
     """Linear flow plus Duhamel of the nonlinearity of the free evolution.
 
     Every frequency of the forcing is an integer (flow keys -n^5 and their
@@ -175,8 +168,7 @@ def first_iterate(phi: FourierSeries, spec: NonlinearitySpec,
     Duhamel horizon >= 1 integrates it the same way.
     """
     u0 = flow_trajectory(phi)
-    w = nonlinear_term(u0, spec, band_cap)
-    return u0 + duhamel(w)
+    return u0 + duhamel(nonlinear_term(u0, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +369,14 @@ class PicardState:
     truncated_mass: float
 
 
-def contraction_achieved(states, ratio: float = 0.5, needed: int = 4) -> bool:
-    """True once diff-norm ratios stay at or below ``ratio`` for ``needed`` steps."""
+def contraction_achieved(states) -> bool:
+    """True once CONTRACTION_RUN diff-norm ratios in a row are at most CONTRACTION_RATIO."""
     diffs = [st.diff_norm for st in states[1:]]
     run = 0
     for prev, cur in zip(diffs, diffs[1:]):
-        ok = cur <= ratio * prev or (prev == 0.0 and cur == 0.0)
+        ok = cur <= CONTRACTION_RATIO * prev or (prev == 0.0 and cur == 0.0)
         run = run + 1 if ok else 0
-        if run >= needed:
+        if run >= CONTRACTION_RUN:
             return True
     return False
 

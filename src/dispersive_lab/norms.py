@@ -170,18 +170,22 @@ def xsb_norm(u: HarmonicTrajectory, s: float, b: float, window: TimeWindow,
     return value
 
 
+def _per_mode(u: HarmonicTrajectory, s: float, window: TimeWindow, rtol: float, powers):
+    """(<n>^{2s}, values, errors) of ``_mode_integrals`` for each mode n of u, in mode order."""
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
+    for n, rows in groupby(u.rows(), itemgetter(0)):
+        values, errors = _mode_integrals(n, [row[1:] for row in rows], window, rtol, powers)
+        yield bracket(n) ** (2.0 * s), values, errors
+
+
 def xsb_norm_with_error(u: HarmonicTrajectory, s: float, b: float, window: TimeWindow,
                         rtol: float = 1e-8):
     if b <= -0.5:
         raise ValueError("divergent weight: b must exceed -1/2")
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
     total = 0.0
     err_total = 0.0
-    for n, rows in groupby(u.rows(), itemgetter(0)):
-        terms = [row[1:] for row in rows]
-        (val,), (err,) = _mode_integrals(n, terms, window, rtol, [(2, 2.0 * b)])
-        weight_s = bracket(n) ** (2.0 * s)
+    for weight_s, (val,), (err,) in _per_mode(u, s, window, rtol, [(2, 2.0 * b)]):
         total += weight_s * val
         err_total += weight_s * err
     norm = math.sqrt(total)
@@ -195,14 +199,9 @@ def _l2_plus_l1(u: HarmonicTrajectory, s: float, window: TimeWindow, rtol: float
 
     I_n(q, e) is the mode integral of |u_hat|^q <lambda + n^5>^e.
     """
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
     sq = 0.0
     l1 = 0.0
-    for n, rows in groupby(u.rows(), itemgetter(0)):
-        terms = [row[1:] for row in rows]
-        (v2, v1), _ = _mode_integrals(n, terms, window, rtol, [(2, e2), (1, e1)])
-        weight_s = bracket(n) ** (2.0 * s)
+    for weight_s, (v2, v1), _ in _per_mode(u, s, window, rtol, [(2, e2), (1, e1)]):
         sq += weight_s * v2
         l1 += weight_s * v1**2
     return math.sqrt(sq) + math.sqrt(l1)

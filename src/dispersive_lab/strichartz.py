@@ -21,6 +21,7 @@ from .torus import HarmonicTrajectory
 
 SAMPLE_CHUNK = 250_000  # level-set points drawn (x, then t) per curve_sum call
 ASCENT_COST_CAP = 5e7  # k_lower_envelope skips an ascent whose per-iteration cells pass this
+ASCENT_STEP = 0.5  # ascent_strategy's first step length on each restart
 Z_95 = 1.96  # Wilson interval quantile
 
 
@@ -67,9 +68,8 @@ def even_norm(vec: CoefficientVector, b: int, d: int,
     """
     if b < 1:
         raise ValueError("b must be >= 1")
-    spec = SystemSpec(d, b, vec.N)
-    table = counting.power_sum_distribution(spec, weights=vec.a, mem_budget=mem_budget)
-    return float(table.sum_of_squared_moduli()) ** (1.0 / (2 * b))
+    power = counting.weighted_square_sum(SystemSpec(d, b, vec.N), vec.a, mem_budget)
+    return power ** (1.0 / (2 * b))
 
 
 def theory_upper_shape(p: float, d: int, N: int) -> float:
@@ -106,12 +106,11 @@ def even_norm_power_gradient(vec: CoefficientVector, b: int, d: int,
 
 
 def ascent_strategy(N: int, b: int, d: int, iterations: int = 200, restarts: int = 8,
-                    seed: int = 0, step: float = 0.5,
-                    mem_budget: int = counting.DEFAULT_MEM_BUDGET):
+                    seed: int = 0, mem_budget: int = counting.DEFAULT_MEM_BUDGET):
     """Projected gradient ascent of the even norm over the unit sphere.
 
-    Fixed step with backtracking; ties broken by first-found. Returns the
-    best ratio even_norm/||a||_2 over restarts.
+    Steps start at ASCENT_STEP, with backtracking; ties broken by
+    first-found. Returns the best ratio even_norm/||a||_2 over restarts.
     """
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -120,7 +119,7 @@ def ascent_strategy(N: int, b: int, d: int, iterations: int = 200, restarts: int
         a = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
         vec = CoefficientVector(N, a)
         val, g = even_norm_power_gradient(vec, b, d, mem_budget)
-        eta = step
+        eta = ASCENT_STEP
         for _ in range(iterations):
             trial = vec.a + eta * g / max(np.linalg.norm(g), 1e-300)
             trial_vec = CoefficientVector(N, trial)

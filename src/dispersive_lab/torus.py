@@ -59,17 +59,13 @@ class FourierSeries:
 
     convention: TorusConvention
     coeff: dict = field(default_factory=dict)
-    band: int = None  # type: ignore[assignment]
+    band: int = field(init=False)  # the largest |n| with a nonzero coefficient
 
     def __post_init__(self):
         TorusConvention(self.convention)  # any other torus raises ValueError
         clean = {int(n): complex(c) for n, c in self.coeff.items() if c != 0}
         object.__setattr__(self, "coeff", clean)
-        b = max((abs(n) for n in clean), default=0)
-        if self.band is None:
-            object.__setattr__(self, "band", b)
-        elif self.band < b:
-            raise ValueError(f"coefficients outside declared band {self.band}")
+        object.__setattr__(self, "band", max((abs(n) for n in clean), default=0))
 
     def __getitem__(self, n: int) -> complex:
         return self.coeff.get(n, 0j)

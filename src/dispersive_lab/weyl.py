@@ -3,10 +3,11 @@
 The circle-method side of the lab: a smooth bump is planted on the Farey
 arcs [a/q + 1/(200 q^2), a/q + 1/(100 q^2)] for q in [Q, 5Q], and its
 Fourier coefficients Phi_hat(k) come from one batched evaluator,
-``PhiData.phi_hat_many``, with two paths chosen by the largest
-xi = |k|/Q^2 of a call. Up to ``XI_MOMENTS`` (the kernel regime Q = N^(d-1),
-k <= 2 N^d has xi <= 2 N^(2-d): inside it for d >= 3, while d = 2 takes the
-table path) the bump transform is its own short Taylor series, and with
+``PhiData.phi_hat_many``, with two paths chosen for each k by its own
+xi = |k|/Q^2, so a coefficient does not depend on the rest of its call.
+Up to ``XI_MOMENTS`` (the kernel regime Q = N^(d-1), k <= 2 N^d has
+xi <= 2 N^(2-d): inside it for d >= 3, while d = 2 takes the table path
+past k = Q^2) the bump transform is its own short Taylor series, and with
 c_q(k) = sum_{delta | (q, k)} delta mu(q/delta) the sum over q collapses
 onto the divisors delta <= 5Q of k: O(tau(k)) work per coefficient against
 tail sums of mu(j) j^(-2-2m) tabulated once per Q. Past it, every (k, q)
@@ -32,7 +33,7 @@ from .counting import DEFAULT_SIEVE_LIMIT, _divisors, mobius_phi_sieve, ramanuja
 from .kernels import TabulatedTransform, curve_sum
 
 TWO_PI = 2.0 * math.pi
-# phi_hat_many takes the moment path when every xi = |k|/q^2 of a call is at
+# phi_hat_many takes the moment path for each k whose xi = |k|/q^2 is at
 # most XI_MOMENTS, with the bump transform's Taylor series cut after MOMENTS
 # terms: the least M with x^M / M! <= 2^-53 at x = 2 pi XI_MOMENTS / 100, the
 # remainder bound relative to F phi(0) (the bump lives on t <= 1/100)
@@ -190,16 +191,17 @@ class PhiData:
     def phi_hat_many(self, ks) -> np.ndarray:
         """Phi_hat(k) = sum_{q ~ Q} (c_q(k)/q^2) * F phi(k/q^2) for every k in ks.
 
-        k = 0 reads ``phi_hat0()``. The other ks take one of two paths, by the
-        largest xi = |k|/Q^2 among them. Up to ``XI_MOMENTS`` (the kernel
-        regime at d >= 3), the moment path: O(tau(k)) work per coefficient,
-        within about 5e-16 of sum_q |c_q(k)/q^2 F phi(k/q^2)| of the sum
-        through the trapezoid rule itself. Past it, the table path: an exact Ramanujan sum
-        per (k, q) cell, the tabulated bump transform (4e-13 of the peak from
-        the rule), and a pairwise sum over q per k. The moment path takes the
-        ks in one call (``_divisors`` blocks its own grid; the pairs are
-        O(sum tau(k))), the table path in blocks of about _BLOCK_CELLS (k, q)
-        cells.
+        k = 0 reads ``phi_hat0()``. Every other k takes one of two paths, by
+        its own xi = |k|/Q^2, so its value is the same in any call. Up to
+        ``XI_MOMENTS`` (the kernel regime at d >= 3), the moment path:
+        O(tau(k)) work per coefficient, within about 5e-16 of
+        sum_q |c_q(k)/q^2 F phi(k/q^2)| of the sum through the trapezoid rule
+        itself. Past it, the table path: an exact Ramanujan sum per (k, q)
+        cell, the tabulated bump transform (4e-13 of the peak from the rule),
+        and a pairwise sum over q per k. The moment path takes its ks in one
+        call (``_divisors`` blocks its own grid; the pairs are O(sum tau(k))),
+        the table path in blocks of about _BLOCK_CELLS (k, q) cells, after one
+        growth of the table to the largest xi among them.
         """
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
         out = np.full(len(ks), self._hat0, dtype=np.complex128)
@@ -207,13 +209,16 @@ class PhiData:
         if len(live) == 0:
             return out
         ks = ks[live]
-        k_max = int(np.abs(ks).max())
-        if k_max * self._inv_q2[0] <= XI_MOMENTS:
-            out[live] = self._by_moments(ks)
+        xi = np.abs(ks) * self._inv_q2[0]
+        moments = xi <= XI_MOMENTS
+        if moments.any():
+            out[live[moments]] = self._by_moments(ks[moments])
+        if moments.all():
             return out
+        live, ks = live[~moments], ks[~moments]
         # one table growth up front; growing it block by block costs more
         # than the coefficients themselves
-        self.bump.fourier_transform.grow(k_max * self._inv_q2[0])
+        self.bump.fourier_transform.grow(xi.max())
         rows = max(1, _BLOCK_CELLS // len(self._q))
         for i in range(0, len(ks), rows):
             out[live[i:i + rows]] = self._by_ramanujan_sums(ks[i:i + rows])

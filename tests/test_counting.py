@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from dispersive_lab import counting, kernels, weyl
+from dispersive_lab import cli, counting, kernels, weyl
 from dispersive_lab.counting import (
     DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
-    CountTable,
     Int64OverflowError,
     SystemSpec,
     _dense_levels,
@@ -25,6 +24,7 @@ from dispersive_lab.counting import (
     ramanujan_block_ratio,
     ramanujan_sum,
     ramanujan_sum_direct,
+    weighted_square_sum,
 )
 
 
@@ -53,22 +53,26 @@ def pair_enumeration_S(d, b, N):
     return count
 
 
+def entries(columns):
+    """{(A, B): value} of a table's (A, B, value) columns."""
+    A, B, V = (column.tolist() for column in columns)
+    return dict(zip(zip(A, B), V))
+
+
 def test_count_table_basics():
-    t = power_sum_distribution(SystemSpec(3, 1, 1))
-    entries = sorted(t.items())
-    assert entries == [(-1, -1, 1), (0, 0, 1), (1, 1, 1)]
+    A, B, V = power_sum_distribution(SystemSpec(3, 1, 1))
+    assert (A.tolist(), B.tolist(), V.tolist()) == ([-1, 0, 1], [-1, 0, 1], [1, 1, 1])
 
 
 def test_pair_table_entry():
-    t = power_sum_distribution(SystemSpec(3, 2, 1))
-    assert t.entry(0, 0) == 3
-    assert t.total_mass() == 9
+    columns = power_sum_distribution(SystemSpec(3, 2, 1))
+    assert entries(columns)[0, 0] == 3
+    assert columns[2].sum() == 9
 
 
 def test_total_mass_identity():
     for d, b, N in [(3, 2, 4), (5, 2, 3), (3, 3, 2), (7, 2, 2)]:
-        t = power_sum_distribution(SystemSpec(d, b, N))
-        assert t.total_mass() == (2 * N + 1) ** b
+        assert power_sum_distribution(SystemSpec(d, b, N))[2].sum() == (2 * N + 1) ** b
 
 
 def test_count_s_examples():
@@ -91,13 +95,18 @@ def test_count_s_matches_literal_pair_enumeration():
 
 
 def test_sparse_and_dense_paths_agree():
-    spec = SystemSpec(3, 3, 5)
-    dense = count_S(spec)
-    sparse = count_S(spec, mem_budget=200_000)
-    assert dense == sparse
-    t_dense = power_sum_distribution(spec)
-    t_sparse = power_sum_distribution(spec, mem_budget=200_000)
-    assert sorted(t_dense.items()) == sorted(t_sparse.items())
+    # (2, 8, 4): its top two grids take exactly ``fits`` bytes, and one byte
+    # less plans sparse keys; both give the same columns, and their squares
+    # add up to the count that streams the top level by A-row
+    spec = SystemSpec(2, 8, 4)
+    fits = (SystemSpec(2, 7, 4).cells + spec.cells) * 8
+    assert (_plan(spec, fits), _plan(spec, fits - 1)) == ("dense", "sparse")
+    assert _plan(spec, counting.DEFAULT_MEM_BUDGET, want="squares") == "streamed"
+    dense = power_sum_distribution(spec, mem_budget=fits)
+    sparse = power_sum_distribution(spec, mem_budget=fits - 1)
+    for column, other in zip(dense, sparse):
+        assert column.dtype == other.dtype and column.tobytes() == other.tobytes()
+    assert count_S(spec) == sum(v * v for v in sparse[2].tolist())
 
 
 def test_mirrored_dense_levels_match_tuple_oracle():
@@ -120,17 +129,18 @@ def test_streamed_even_d_counts_unchanged():
         assert _plan(spec, counting.DEFAULT_MEM_BUDGET, want="squares") == "streamed"
         assert count_S(spec) == pinned
         # unit weights build every row: an unmirrored count, exact in float below 2^53
-        ones = np.ones(2 * N + 1)
-        assert round(power_sum_distribution(spec, weights=ones).sum_of_squared_moduli()) == pinned
+        assert round(weighted_square_sum(spec, np.ones(2 * N + 1))) == pinned
 
 
 def test_sparse_refusal_counts_the_full_last_level():
     # odd d builds the sparse top level to the centre only, but budgets it in full
     spec = SystemSpec(5, 3, 8)
-    L = len(power_sum_distribution(SystemSpec(5, 2, 8)).keys)
+    lower = SystemSpec(5, 2, 8)
+    assert _plan(lower, counting.DEFAULT_MEM_BUDGET) == "sparse"  # columns are its keys
+    L = len(power_sum_distribution(lower)[0])
     fits = L * (2 * spec.N + 1) * 16
     assert count_S(spec, mem_budget=fits) == brute_force_S(5, 3, 8)
-    assert power_sum_distribution(spec, mem_budget=fits).total_mass() == 17**3
+    assert power_sum_distribution(spec, mem_budget=fits)[2].sum() == 17**3
     for build in (count_S, power_sum_distribution):
         with pytest.raises(BudgetExceededError) as exc:
             build(spec, mem_budget=fits - 1)
@@ -239,7 +249,7 @@ def test_odd_d_sums_of_squares_past_int64_stay_exact():
     # 13^12 tuples: streamed by default, sparse at 4 MiB; both sum twice the
     # squares before the centre plus the centre's
     spec = SystemSpec(3, 12, 6)
-    exact = sum(v * v for v in power_sum_distribution(spec).columns()[2].tolist())
+    exact = sum(v * v for v in power_sum_distribution(spec)[2].tolist())
     assert exact > 2**63
     assert _plan(spec, counting.DEFAULT_MEM_BUDGET, want="squares") == "streamed"
     assert _plan(spec, 2**22, want="squares") == "sparse"
@@ -248,9 +258,9 @@ def test_odd_d_sums_of_squares_past_int64_stay_exact():
 
 def test_symmetry_odd_d():
     for spec in (SystemSpec(3, 2, 4), SystemSpec(5, 3, 2)):
-        t = power_sum_distribution(spec)
-        for A, B, c in t.items():
-            assert t.entry(-A, -B) == c
+        table = entries(power_sum_distribution(spec))
+        for (A, B), c in table.items():
+            assert table[-A, -B] == c
 
 
 def test_lower_bound_diagonal():
@@ -301,7 +311,8 @@ def test_layout_plan_sparse_bound_boundary():
     assert _plan(spec, fits - 1) == "sparse"  # the top two grids need more than fits
     oracle = brute_force_S(2, 4, 6)
     assert count_S(spec, mem_budget=fits) == count_S(spec, mem_budget=fits - 1) == oracle
-    assert power_sum_distribution(spec, mem_budget=fits).sum_of_squared_moduli() == oracle
+    counts = power_sum_distribution(spec, mem_budget=fits)[2]
+    assert sum(v * v for v in counts.tolist()) == oracle
 
 
 def test_multiset_bound_on_level_keys():
@@ -313,7 +324,7 @@ def test_multiset_bound_on_level_keys():
                 spec = SystemSpec(d, L, N)
                 keys = {(sum(m), sum(v**d for v in m))
                         for m in itertools.combinations_with_replacement(range(-N, N + 1), L)}
-                assert len(power_sum_distribution(spec).columns()[0]) == len(keys)
+                assert len(power_sum_distribution(spec)[0]) == len(keys)
                 assert len(keys) <= min(math.comb(2 * N + L, L), spec.cells), (d, L, N)
 
 
@@ -334,20 +345,21 @@ def test_bound_planned_sparse_builds_never_refuse():
                 for weights, itemsize in ((None, 8), (np.ones(2 * N + 1), 16)):
                     budget = pairs * (8 + itemsize)
                     assert _plan(spec, budget, weighted=weights is not None) == "sparse"
-                    table = power_sum_distribution(spec, weights, mem_budget=budget)
-                    assert table.keys is not None
-                    assert table.total_mass() == (2 * N + 1) ** b
-                    assert round(table.sum_of_squared_moduli()) == squares
+                    values = power_sum_distribution(spec, weights, mem_budget=budget)[2]
+                    assert values.sum() == (2 * N + 1) ** b
+                    assert round(float(np.sum(np.abs(values) ** 2))) == squares
+                    if weights is not None:
+                        assert round(weighted_square_sum(spec, weights, budget)) == squares
     assert planned == 47
 
 
 def test_packed_key_int64_guard():
     # (2bN+1)(2bN^d+1) first passes int64 at d=9, b=3, N=56
-    t = power_sum_distribution(SystemSpec(9, 3, 55))
-    assert t.total_mass() == 111**3
-    A, B, _ = t.columns()
+    A, B, V = power_sum_distribution(SystemSpec(9, 3, 55))
+    assert V.sum() == 111**3
     assert (A.min(), A.max(), B.min(), B.max()) == (-165, 165, -3 * 55**9, 3 * 55**9)
-    assert t.entry(165, 3 * 55**9) == t.entry(-165, -3 * 55**9) == 1
+    table = entries((A, B, V))
+    assert table[165, 3 * 55**9] == table[-165, -3 * 55**9] == 1
     for N in (56, 64):
         for build in (count_S, power_sum_distribution):
             with pytest.raises(Int64OverflowError, match=f"d=9, b=3, N={N}"):
@@ -360,10 +372,9 @@ def test_sums_of_squares_past_int64_stay_exact():
     # d=2, b=12, N=6: counts fit int64, but one A-row's squared counts add up
     # past 2^63, which an int64 dot wraps
     spec = SystemSpec(2, 12, 6)
-    t = power_sum_distribution(spec)
-    exact = sum(v * v for v in t.columns()[2].tolist())
+    exact = sum(v * v for v in power_sum_distribution(spec)[2].tolist())
     assert exact > 2**63
-    assert count_S(spec) == t.sum_of_squared_moduli() == exact
+    assert count_S(spec) == exact
     # 25^14 tuples: the counts themselves would pass int64
     with pytest.raises(Int64OverflowError, match="d=2, b=14, N=12"):
         count_S(SystemSpec(2, 14, 12))
@@ -378,9 +389,9 @@ def test_budget_error_suggests_smaller_n():
 def test_weighted_table_matches_counts():
     spec = SystemSpec(3, 2, 3)
     ones = np.ones(7, dtype=complex)
-    tw = power_sum_distribution(spec, weights=ones)
-    tc = power_sum_distribution(spec)
-    assert tw.sum_of_squared_moduli() == pytest.approx(float(tc.sum_of_squared_moduli()))
+    squares = sum(v * v for v in power_sum_distribution(spec)[2].tolist())
+    assert squares == count_S(spec)
+    assert weighted_square_sum(spec, ones) == pytest.approx(float(squares))
 
 
 def test_enumerate_triples_odd_d_example():
@@ -651,9 +662,10 @@ def test_block_ratio_positive_and_finite():
 
 
 def test_table_csv_export(tmp_path):
-    t = power_sum_distribution(SystemSpec(3, 2, 1))
-    path = tmp_path / "table.csv"
-    t.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "A,B,count"
-    assert "0,0,3" in lines
+    # dlab count table=1 writes the (A, B, count) columns in (A, B) order
+    args = ["count", "--out", str(tmp_path)]
+    for param in ("d=3", "b=2", "N=1", "table=1"):
+        args += ["--param", param]
+    assert cli.main(args) == 0
+    text = (tmp_path / "table_d3_b2_N1.csv").read_text()
+    assert text == "A,B,count\n-2,-2,1\n-1,-1,2\n0,0,3\n1,1,2\n2,2,1\n"

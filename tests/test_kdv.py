@@ -16,7 +16,6 @@ from dispersive_lab.kdv import (
     gauge_shift,
     gauge_transform,
     illposedness_scan,
-    linear_flow,
     nonlinear_term,
     picard_solve,
     residual,
@@ -70,13 +69,13 @@ def hs_distance(coeffs_a, coeffs_b, band, s):
 
 def test_flow_identity_at_zero():
     phi = two_mode_data(4, 0.5, 1.0)
-    assert linear_flow(phi, 0.0).coeff == phi.coeff
+    assert flow_trajectory(phi).at_time(0.0).coeff == phi.coeff
 
 
 def test_flow_matches_free_evolution():
     phi = two_mode_data(8, 0.5, 1.0)
     t = 0.3
-    got = linear_flow(phi, t)
+    got = flow_trajectory(phi).at_time(t)
     amp = 8**-0.5
     assert got[8] == pytest.approx(amp * cmath.exp(-1j * 8**5 * t), rel=1e-14)
     assert got[-8] == pytest.approx(amp * cmath.exp(1j * 8**5 * t), rel=1e-14)
@@ -86,7 +85,7 @@ def test_flow_isometry():
     rng = np.random.default_rng(0)
     phi = FourierSeries(TP, {n: complex(*rng.standard_normal(2)) for n in range(-5, 6)})
     for s in (0.0, 0.7, 2.0):
-        assert h_s_norm(linear_flow(phi, 0.83), s) == pytest.approx(
+        assert h_s_norm(flow_trajectory(phi).at_time(0.83), s) == pytest.approx(
             h_s_norm(phi, s), rel=1e-12)
 
 
@@ -105,13 +104,11 @@ def test_flow_frequencies_exact_up_to_1552():
     assert key[2] == -(1552**5)
     with pytest.raises(BandCapExceeded):
         flow_trajectory(FourierSeries(TP, {1553: 1.0}))
-    # the guard sits in dispersion itself, so the flow and the array form
-    # (sampled Duhamel, norm weights) refuse the mode too
+    # the flow at mode -1552 is exact; the guard sits in dispersion itself,
+    # so the array form (sampled Duhamel, norm weights) refuses 1553 too
     t = 0.3
-    got = linear_flow(FourierSeries(TP, {-1552: 1.0}), t)[-1552]
+    got = flow_trajectory(FourierSeries(TP, {-1552: 1.0})).at_time(t)[-1552]
     assert got == cmath.exp(-1j * float((-1552) ** 5) * t)
-    with pytest.raises(BandCapExceeded):
-        linear_flow(FourierSeries(TP, {1553: 1.0}), t)
     assert np.array_equal(dispersion(np.arange(-1552, 1553)),
                           [float(n**5) for n in range(-1552, 1553)])
     with pytest.raises(BandCapExceeded):
@@ -127,7 +124,7 @@ def test_picard_rejects_band_cap_past_exact_dispersion():
 def test_flow_requires_two_pi():
     # the flow lives on the 2 pi torus: a series tagged with another is refused
     with pytest.raises(ValueError):
-        linear_flow(FourierSeries("unit", {1: 1.0}), 0.1)
+        flow_trajectory(FourierSeries("unit", {1: 1.0})).at_time(0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dispersive_lab import strichartz
+from dispersive_lab import counting, strichartz
 from dispersive_lab.counting import BudgetExceededError, SystemSpec, count_S
 from dispersive_lab.kernels import curve_sum
 from dispersive_lab.norms import TimeWindow
@@ -45,6 +45,18 @@ def test_even_norm_all_ones_equals_count():
         power = even_norm(vec, b, d) ** (2 * b)
         assert round(power) == count_S(SystemSpec(d, b, N))
         assert abs(power - round(power)) < 1e-6
+
+
+def test_even_norm_bits_pinned():
+    # the bits of even_norm on one dense-planned and three sparse-planned inputs
+    for (d, b, N), layout, pinned in (((2, 5, 12), "dense", "0x1.8cd3f5743af9fp+0"),
+                                      ((5, 3, 4), "sparse", "0x1.3f75e60437903p+0"),
+                                      ((3, 3, 4), "sparse", "0x1.3f75e60437903p+0"),
+                                      ((2, 3, 10), "sparse", "0x1.4f5283f5569dcp+0")):
+        spec = SystemSpec(d, b, N)
+        assert counting._plan(spec, counting.DEFAULT_MEM_BUDGET, weighted=True) == layout
+        vec = random_vec(np.random.default_rng(7), N)
+        assert even_norm(vec, b, d).hex() == pinned, (d, b, N)
 
 
 def test_even_norm_reflection_covariant():

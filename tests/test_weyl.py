@@ -239,29 +239,39 @@ def test_phi_hat_dense_matches_exact():
 
 
 def test_phi_hat_table_path_matches_exact():
-    # a call whose largest xi passes XI_MOMENTS takes the table path for
-    # every k, checked against the divisor-sum form through the same table
+    # a call with ks on both sides of XI_MOMENTS: each k past it takes the
+    # table path, checked against the divisor-sum form through the same
+    # table; each k up to it takes the moment path, checked against the rule
+    # itself (the table's own error, up to 3.9e-13 of the scale, would not
+    # pass 1e-13 there)
     rng = np.random.default_rng(32)
     for Q in (64, 256, 1024):
         p = build_phi(Q)
         ks = np.concatenate((np.arange(-5, 64), rng.integers(-2 * Q * Q, 2 * Q * Q, 48),
                              [2 * Q * Q]))
         got = p.phi_hat_many(ks)
-        want, scale = _phi_hat_divisor_oracle(p, ks.tolist(), p.bump.fourier_transform)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale), Q
+        table = np.abs(ks) > weyl.XI_MOMENTS * Q * Q
+        assert 0 < table.sum() < len(ks), Q
+        for sel, transform, rtol in ((table, p.bump.fourier_transform, 1e-13),
+                                     (~table, p.bump.fourier_transform_quad, 1e-14)):
+            want, scale = _phi_hat_divisor_oracle(p, ks[sel].tolist(), transform)
+            assert np.all(np.abs(got[sel] - want) <= rtol * scale), Q
 
 
 def test_phi_hat_paths_agree_at_the_regime_boundary():
-    # largest xi exactly XI_MOMENTS (moment path) and one step past it (table
-    # path): the shared ks agree within 1e-12 of Phi_hat(0)
+    # the moment and table paths on the same ks, up to xi = XI_MOMENTS and one
+    # step past it, agree within 1e-12 of Phi_hat(0); and a k's path is its
+    # own, so a mixed call gives every k the bytes of a call on it alone
     for Q in (16, 64, 256):
         p = build_phi(Q)
         edge = int(weyl.XI_MOMENTS * Q * Q)
-        ks = np.concatenate((np.arange(-40, 4 * Q + 1), [Q * Q // 2, edge - 1, edge]))
-        below = p.phi_hat_many(ks)
-        above = p.phi_hat_many(np.append(ks, edge + 1))[:-1]
-        assert not np.array_equal(below, above)  # two paths, not one
-        assert np.abs(below - above).max() <= 1e-12 * p.phi_hat0(), Q
+        ks = np.concatenate((np.arange(-40, 0), np.arange(1, 4 * Q + 1),
+                             [Q * Q // 2, edge - 1, edge, edge + 1]))
+        moments, table = p._by_moments(ks), p._by_ramanujan_sums(ks)
+        assert np.abs(moments - table).max() <= 1e-12 * p.phi_hat0(), Q
+        mixed = np.concatenate((ks, [0, -edge - 1, 40 * Q * Q]))
+        got = p.phi_hat_many(mixed)
+        assert got.tobytes() == np.array([p.phi_hat(k) for k in mixed.tolist()]).tobytes(), Q
 
 
 def test_phi_eval_support():
