@@ -211,14 +211,16 @@ def _run_kernel(cfg, out, telemetry):
             zero_worst = max(zero_worst, abs(dec.k2_hat(n, n**d)))
         scan = weyl.phi_hat_max_scan(dec.phi, k_limit=2 * N**d)
         rows.append((N, Q, scan["max_abs"] * Q, 1.0, scan["max_abs"] * Q))
-        sup = 0.0
+        samples = []  # (a, q, u, x), drawn in order; a non-coprime (a, q) draws no u, x
         for _ in range(cfg["count"]):
             q = int(rng.integers(Q, 5 * Q + 1))
             a = int(rng.integers(1, max(q, 2)))
             if math.gcd(a, q) != 1:
                 continue
             u = 1 / 200 + rng.random() * (1 / 100 - 1 / 200)
-            sup = max(sup, abs(dec.k1_at_arc(a, q, u, float(rng.random()))))
+            samples.append((a, q, u, float(rng.random())))
+        k1 = dec.k1_at_arc(*np.array(samples, dtype=np.float64).reshape(-1, 4).T)
+        sup = float(np.abs(k1).max(initial=0.0))
         bound = N ** (1.0 - d * 2.0 ** (1 - d)) * Q ** (2.0 ** (1 - d))
         rows.append((N, Q, sup, bound, sup / bound))
     write_csv(os.path.join(out, "kernel_scan.csv"),

@@ -288,14 +288,17 @@ def power_sum_distribution(spec: SystemSpec, weights=None,
 
     ``weights`` is a coefficient vector indexed by n in [-N, N]; unit weights
     count tuples (int64) and others sum amplitudes (complex128). Returns the
-    arrays (A, B, value) in (A, B) order: the nonzero cells of a dense grid,
-    or every key of sparse keys, whichever layout ``_plan`` picks for the
-    budget; a weighted sparse key may hold a zero sum.
+    arrays (A, B, value) in (A, B) order, one row per nonzero value, in
+    whichever layout ``_plan`` picks for the budget: a weighted sum that
+    cancels to zero is dropped from the sparse keys as from the dense grid.
     """
     top, vals = _top_level(spec, weights, mem_budget)
     if vals is None:
         ii, jj = np.nonzero(top)
         return ii - spec.a_extent, jj - spec.b_extent, top[ii, jj]
+    if weights is not None:
+        live = np.flatnonzero(vals)
+        top, vals = top[live], vals[live]
     stride = 2 * spec.b_extent + 1
     return top // stride - spec.a_extent, top % stride - spec.b_extent, vals
 

@@ -1,11 +1,16 @@
 """Numeric kernels: the curve sum, the tabulated transform of a flat bump, and
 the sort-and-sum reducer behind signature tables and harmonic trajectories.
 
-``curve_sum`` is the one evaluator of F(x, t) = sum_n a_n e(n x + n^d t),
+``CurvePlan`` is the one evaluator of F(x, t) = sum_n a_n e(n x + n^d t),
 e(y) = e^{2 pi i y}: Weyl sums, the Dirichlet curve kernel and the level-set
-scans all call it. One phase rule serves them: each rounded product n x and
-n^d t is reduced mod 1 by p - rint(p), which is exact, before the two are
-added and scaled by 2 pi, so no cos or sin argument exceeds 2 pi in modulus.
+scans all call it, and ``curve_sum`` is a plan called once. One phase rule
+serves them: each rounded product n x and n^d t is reduced mod 1 by
+p - rint(p), which is exact, and so is their rounded sum before it is scaled
+by 2 pi, so no cos or sin argument exceeds pi in modulus. The rule is odd,
+so for odd d the phase of -n is exactly the negated phase of n, and a plan
+folds each pair into one cos and one sin term on n >= 0; a block of cos or
+sin terms whose weights all vanish (the sin block of any a_n = a_{-n}, such
+as the all-ones kernel) is never evaluated.
 A float t needs n^d exact in float64, so a band with N^d >= 2^53 raises
 ``BandCapExceeded``; below it, rounding n^d t still costs up to |n^d t| 2^-53
 cycles per mode. A ``Fraction`` t = a/q is reduced exactly, as
@@ -30,53 +35,96 @@ class BandCapExceeded(ValueError):
     frequency leaves the range float64 holds exactly."""
 
 
-def curve_sum(coeff, d: int, x, t) -> np.ndarray:
-    """F(x_i, t_i) = sum_n a_n e(n x_i + n^d t_i) for ``coeff`` a_n on n in [-N, N].
+class CurvePlan:
+    """F(x_i, t_i) = sum_n a_n e(n x_i + n^d t_i) for one ``coeff`` a_n on n in [-N, N].
 
-    ``t`` is a float array shaped like ``x``, or one ``Fraction`` for every
-    point. Zero coefficients are dropped; cos and sin of the phases go through
-    one matmul with the rest, on blocks of _BLOCK_CELLS (point, mode) cells.
+    Built once per (coeff, d), called on any number of points. For odd d,
+    (-n)^d = -n^d and the phase rule is odd, so mode -n carries exactly the
+    negated phase of n: the plan folds a_n e(p) + a_{-n} e(-p) into
+    (a_n + a_{-n}) cos 2 pi p + i (a_n - a_{-n}) sin 2 pi p over n >= 0
+    (a_0 alone at n = 0). Even d keeps every mode, with weights a_n and i a_n.
+    A cos or sin block whose weights are all zero is never evaluated, and a
+    mode with zero weight in every live block is dropped.
     """
-    coeff = np.asarray(coeff, dtype=np.complex128)
-    if len(coeff) % 2 != 1:
-        raise ValueError("coeff must cover n in [-N, N]")
-    N = len(coeff) // 2
-    keep = np.flatnonzero(coeff)
-    modes, weights = keep - N, np.stack((coeff.real[keep], coeff.imag[keep]), axis=1)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if isinstance(t, Fraction):  # exact residues (a n^d mod q)/q stand in for n^d, at t = 1
-        powers = np.array([t.numerator * n**d % t.denominator / t.denominator
-                           for n in modes.tolist()])
-        t = np.ones(len(x))
-    else:
-        if N**d >= EXACT_LIMIT:
-            raise BandCapExceeded(
-                f"mode |n| = {N}: n^{d} is not below 2^53, where float64 stops holding "
-                "integers exactly; pass t as a Fraction for exact phases")
-        t = np.ascontiguousarray(t, dtype=np.float64)
-        if x.shape != t.shape:
-            raise ValueError("x and t must have matching shapes")
-        powers = (modes**d).astype(np.float64)
-    modes = modes.astype(np.float64)
-    out = np.empty(len(x), dtype=np.complex128)
-    rows = max(1, _BLOCK_CELLS // max(1, len(modes)))
-    # buffers reused by every block: fresh block-sized temporaries cost page faults
-    phase = np.empty((min(rows, len(x)), len(modes)))
-    trig = np.empty((2 * len(phase), len(modes)))  # cos rows, then sin rows
-    for i in range(0, len(x), rows):
-        r = min(rows, len(x) - i)
-        ph, t_part, scratch = phase[:r], trig[r:2 * r], trig[:r]
-        np.multiply(x[i:i + r, None], modes, out=ph)
-        np.multiply(t[i:i + r, None], powers, out=t_part)
-        ph -= np.rint(ph, out=scratch)  # each product mod 1, into [-1/2, 1/2], exactly
-        t_part -= np.rint(t_part, out=scratch)
-        ph += t_part
-        ph *= 2.0 * np.pi
-        np.cos(ph, out=trig[:r])
-        np.sin(ph, out=trig[r:2 * r])
-        s = trig[:2 * r] @ weights  # columns: sums against Re a_n, Im a_n
-        out[i:i + r] = s[:r, 0] - s[r:, 1] + 1j * (s[:r, 1] + s[r:, 0])
-    return out
+
+    def __init__(self, coeff, d: int):
+        coeff = np.asarray(coeff, dtype=np.complex128)
+        if len(coeff) % 2 != 1:
+            raise ValueError("coeff must cover n in [-N, N]")
+        N = self.N = len(coeff) // 2
+        self.d = d
+        if d % 2:  # weights on n = 0, ..., N: a_n + a_{-n} (a_0 at n = 0) and i (a_n - a_{-n})
+            pos, neg = coeff[N:], coeff[N::-1]
+            w = np.empty((2, N + 1), dtype=np.complex128)
+            np.add(pos, neg, out=w[0])
+            np.subtract(pos, neg, out=w[1])
+            w[0, 0] = pos[0]
+        else:  # weights on n = -N, ..., N: a_n and i a_n
+            w = np.empty((2, 2 * N + 1), dtype=np.complex128)
+            w[:] = coeff
+        w[1] *= 1j
+        nz = w != 0  # [cos|sin, mode]
+        keep = (nz[0] | nz[1]).nonzero()[0]
+        self._modes = keep - N if d % 2 == 0 else keep
+        cos_on, sin_on = nz.any(axis=1).tolist()
+        live = slice(1 - cos_on, 1 + sin_on)  # the blocks to evaluate: cos, sin, both or none
+        self._funcs = (np.cos, np.sin)[live]
+        # rows: each live block's modes in turn, as (re, im) pairs
+        self._weights = w[live].take(keep, axis=1).view(np.float64).reshape(-1, 2)
+        self._powers = None  # float n^d, made on the first float-t call
+
+    def __call__(self, x, t) -> np.ndarray:
+        """F at every point; ``t`` is a float array shaped like ``x``, or one
+        ``Fraction`` for every point. Blocks of _BLOCK_CELLS (point, mode) cells
+        go through one matmul against the weights."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if isinstance(t, Fraction):  # exact residues (a n^d mod q)/q stand in for n^d, at t = 1
+            a, q, d = t.numerator, t.denominator, self.d
+            powers = np.array([a * n**d % q / q for n in self._modes.tolist()])
+            t = np.ones(len(x))
+        else:
+            if self.N**self.d >= EXACT_LIMIT:
+                raise BandCapExceeded(
+                    f"mode |n| = {self.N}: n^{self.d} is not below 2^53, where float64 stops "
+                    "holding integers exactly; pass t as a Fraction for exact phases")
+            t = np.ascontiguousarray(t, dtype=np.float64)
+            if x.shape != t.shape:
+                raise ValueError("x and t must have matching shapes")
+            if self._powers is None:
+                self._powers = (self._modes**self.d).astype(np.float64)
+            powers = self._powers
+        m = len(self._modes)
+        if not m:
+            return np.zeros(len(x), dtype=np.complex128)
+        out = np.empty(len(x), dtype=np.complex128)
+        pairs = out.view(np.float64).reshape(-1, 2)  # (re, im) rows: the matmul's output
+        rows = max(1, _BLOCK_CELLS // m)
+        r = min(rows, len(x))
+        # buffers reused by every block: fresh block-sized temporaries cost page faults
+        ph, t_part = np.empty((r, m)), np.empty((r, m))
+        trig = np.empty((r, len(self._funcs), m))  # per point: the live blocks in turn
+        x, t = x[:, None], t[:, None]
+        for i in range(0, len(x), rows):
+            if i + r > len(x):  # the last block is shorter
+                r = len(x) - i
+                ph, t_part, trig = ph[:r], t_part[:r], trig[:r]
+            scratch = trig[:, 0]
+            np.multiply(x[i:i + r], self._modes, out=ph)
+            np.multiply(t[i:i + r], powers, out=t_part)
+            ph -= np.rint(ph, out=scratch)  # each product mod 1, into [-1/2, 1/2], exactly
+            t_part -= np.rint(t_part, out=scratch)
+            ph += t_part
+            ph -= np.rint(ph, out=scratch)  # and their sum: cos and sin run fastest on [-pi, pi]
+            ph *= 2.0 * np.pi
+            for j, func in enumerate(self._funcs):
+                func(ph, out=trig[:, j])
+            np.matmul(trig.reshape(r, -1), self._weights, out=pairs[i:i + r])
+        return out
+
+
+def curve_sum(coeff, d: int, x, t) -> np.ndarray:
+    """F(x_i, t_i) = sum_n a_n e(n x_i + n^d t_i): ``CurvePlan(coeff, d)`` called once."""
+    return CurvePlan(coeff, d)(x, t)
 
 
 class TabulatedTransform:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .counting import DEFAULT_SIEVE_LIMIT, _divisors, mobius_phi_sieve, ramanujan_sum
-from .kernels import TabulatedTransform, curve_sum
+from .kernels import CurvePlan, TabulatedTransform, curve_sum
 
 TWO_PI = 2.0 * math.pi
 # phi_hat_many takes the moment path for each k whose xi = |k|/q^2 is at
@@ -399,20 +399,25 @@ class KernelDecomposition:
         # phi_hat(0) returns this same float, so the on-curve coefficient
         # cancels exactly (x/x = 1 in IEEE)
         self._phi_hat0 = self.phi.phi_hat0()
+        self._k_n = CurvePlan(np.ones(2 * self.N + 1), self.d)  # K_N, built once
 
     @property
     def phi_hat0(self) -> float:
         return self._phi_hat0
 
-    def k1_at_arc(self, a: int, q: int, u: float, x: float) -> complex:
-        """K_1 at t = a/q + u/q^2 for u in the bump support (Phi known by construction)."""
-        t = a / q + u / (q * q)
-        val = complex(curve_sum(np.ones(2 * self.N + 1), self.d, np.array([x]),
-                                np.array([t]))[0])
-        return val * float(self.bump_value(u)) / self._phi_hat0
+    def k1_at_arc(self, a, q, u, x):
+        """K_1 at t = a/q + u/q^2 for u in the bump support (Phi known by construction).
 
-    def bump_value(self, u: float) -> float:
-        return float(self.phi.bump.profile(u))
+        a, q, u and x are scalars, giving one complex, or arrays of one shape,
+        evaluated in one plan call. t is rounded once to float64, so mode n
+        carries up to |n^d t| 2^-53 cycles of phase error, besides the rounding
+        of n x (see ``kernels``).
+        """
+        a, q, u, x = (np.asarray(v, dtype=np.float64) for v in (a, q, u, x))
+        t = a / q + u / (q * q)
+        k_n = self._k_n(x.ravel(), t.ravel()).reshape(x.shape)
+        vals = k_n * (self.phi.bump.profile(u) / self._phi_hat0)
+        return complex(vals) if vals.ndim == 0 else vals
 
     def k2_hat(self, n1: int, n2: int) -> complex:
         """Coefficient rule: delta(n2 = n1^d) - Phi_hat(n2 - n1^d)/Phi_hat(0).

@@ -32,14 +32,17 @@ def test_every_traced_layer_resolves(perfbench):
         assert callable(owner.__dict__.get(attr)), f"{layer}: {module}.{path} is gone"
 
 
-def test_tiny_dispersive_workload_passes_its_checks(perfbench, tmp_path):
-    _, workloads = perfbench
+def _check_tiny_workload(workloads, name, out):
     with open(os.path.join(PERFBENCH, "references.json")) as fh:
         references = json.load(fh)
-    workload = workloads.build("dispersive", "tiny", 7, references, str(tmp_path))
+    workload = workloads.build(name, "tiny", 7, references, str(out))
     assert workload.ops
     for op in workload.ops:
         op.check(op.call())
+
+
+def test_tiny_dispersive_workload_passes_its_checks(perfbench, tmp_path):
+    _check_tiny_workload(perfbench[1], "dispersive", tmp_path)
 
 
 def test_tiny_counting_workload_passes_its_checks(perfbench, tmp_path):
@@ -57,3 +60,9 @@ def test_tiny_counting_workload_passes_its_checks(perfbench, tmp_path):
             continue
         op.check(result)
     assert refused == ["count_S d5 b4 N16"]
+
+
+@pytest.mark.parametrize("name", ["levelset", "circle"])
+def test_tiny_workload_passes_its_checks(perfbench, tmp_path, name):
+    # level-set profiles and dlab levelset; K_1 arc samples, Phi_hat and dlab kernel
+    _check_tiny_workload(perfbench[1], name, tmp_path)

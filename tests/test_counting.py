@@ -109,6 +109,22 @@ def test_sparse_and_dense_paths_agree():
     assert count_S(spec) == sum(v * v for v in sparse[2].tolist())
 
 
+def test_weighted_columns_drop_zero_sums_in_both_layouts():
+    # weights 0 at n = -2 and n = 3 cancel some sums: the sparse keys drop them,
+    # as the dense grid's nonzero cells do, so both layouts give the same columns
+    spec = SystemSpec(2, 8, 4)
+    fits = (SystemSpec(2, 7, 4).cells + spec.cells) * 16
+    assert (_plan(spec, fits, weighted=True), _plan(spec, fits - 1, weighted=True)) == (
+        "dense", "sparse")
+    weights = np.ones(9)
+    weights[[-2 + 4, 3 + 4]] = 0.0
+    dense = power_sum_distribution(spec, weights, mem_budget=fits)
+    sparse = power_sum_distribution(spec, weights, mem_budget=fits - 1)
+    assert len(dense[0]) == 1575 and np.all(sparse[2] != 0)
+    for column, other in zip(dense, sparse):
+        assert column.dtype == other.dtype and column.tobytes() == other.tobytes()
+
+
 def test_mirrored_dense_levels_match_tuple_oracle():
     # rows past the centre are mirror copies; every cell of every level, both parities
     for d in (2, 3, 4, 5):

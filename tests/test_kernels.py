@@ -61,6 +61,21 @@ def _oracle_cases():
     rng = np.random.default_rng(3)
     x = rng.random(40)
     cases["kernel-grid-N12-d3"] = [(np.ones(2 * 12 + 1), 3, x, rng.random(40))]
+    # one case per plan branch: odd d folds n and -n into a cos and a sin block,
+    # and a block whose weights all vanish is skipped; even d keeps every mode
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=25) + 1j * rng.normal(size=25)  # n in [-12, 12], a_n != a_{-n}
+    x, t = rng.random(30), rng.random(30)
+    odd = a - a[::-1]
+    odd[12] = 0.0
+    cases["folded-both-blocks"] = [(a, d, x, t) for d in (3, 5)]
+    cases["folded-cos-only"] = [(a + a[::-1], d, x, t) for d in (3, 5)]
+    cases["folded-sin-only"] = [(odd, d, x, t) for d in (3, 5)]
+    cases["unfolded-even-d"] = [(a, d, x, t) for d in (2, 4)]
+    cases["all-zero-coeff"] = [(np.zeros(25), d, x, t) for d in (2, 3)]
+    cases["single-point"] = [(a, d, x[:1], t[:1]) for d in (2, 3)]
+    cases["folded-fraction-t"] = [(a, 3, x, Fraction(12345, 65537)),
+                                  (a + a[::-1], 5, x, Fraction(-7, 1024))]
     return cases
 
 
@@ -88,6 +103,20 @@ def test_curve_sum_float_t_guard_boundary(d, N):
     got = kernels.curve_sum(coeff, d, x, Fraction(7, 10))
     want, bound = _exact_curve_sum(coeff, d, x, Fraction(7, 10))
     assert np.all(np.abs(got - want) <= bound)
+
+
+def test_curve_plan_evaluates_only_live_blocks():
+    # a_n = a_{-n} needs only cos, a_n = -a_{-n} only sin, both otherwise; even d both
+    a = np.arange(1.0, 10.0) + 1j
+    for coeff, d, funcs in ((a + a[::-1], 3, (np.cos,)), (a - a[::-1], 3, (np.sin,)),
+                            (a, 3, (np.cos, np.sin)), (a + a[::-1], 2, (np.cos, np.sin)),
+                            (np.zeros(9), 3, ())):
+        plan = kernels.CurvePlan(coeff, d)
+        assert plan._funcs == funcs
+        x, t = np.array([0.1, 0.7]), np.array([0.3, 0.9])
+        # a plan called again, or on part of the points, gives the one-shot values
+        assert np.array_equal(plan(x, t), kernels.curve_sum(coeff, d, x, t))
+        assert np.array_equal(plan(x[1:], t[1:]), kernels.curve_sum(coeff, d, x[1:], t[1:]))
 
 
 def test_curve_sum_validates_shapes():

@@ -198,6 +198,18 @@ def test_level_set_profile_one_sample_set_serves_every_level(monkeypatch):
         level_set_profile(vec, d, [0.5, -0.1], cfg)
 
 
+@pytest.mark.parametrize("N,hits", [
+    (32, [19269, 9369, 3306, 824, 137, 28, 6, 2, 0, 0]),
+    (64, [9297, 2930, 584, 79, 12, 3, 0, 0, 0, 0]),
+])
+def test_kernel_levelset_hits_pinned(N, hits):
+    # hits pinned from a sum over all 2N+1 modes with unreduced phase sums:
+    # folding n with -n moves |F| by ulps, which must not move a point across a level
+    cfg = SamplerConfig(samples=200_000, seed=13)
+    rep = strichartz.verify_kernel_levelset_decay(3, N, config=cfg, points=10)
+    assert [r["hits"] for r in rep["rows"]] == hits
+
+
 def test_l4_bound_single_mode():
     fhat = np.zeros((5, 5), dtype=complex)
     fhat[2 + 1, 2 + 1] = 2.0  # single mode amplitude 2 at (m, n) = (1, 1)

@@ -339,6 +339,27 @@ def test_k2_hat_off_curve_rule():
     assert v == pytest.approx(-dec.phi.phi_hat(5) / dec.phi_hat0, rel=1e-12)
 
 
+def test_k1_at_arc_batched_matches_scalar_calls():
+    # arrays go through one plan call; K_1 = K_N(x, a/q + u/q^2) bump(u) / Phi_hat(0)
+    N, d, Q = 8, 3, 64
+    dec = decompose_kernel(N, d, Q)
+    rng = np.random.default_rng(4)
+    q = rng.integers(Q, 5 * Q + 1, 50)
+    a = rng.integers(1, q)
+    u, x = 1 / 200 + rng.random(50) / 200, rng.random(50)
+    batched = dec.k1_at_arc(a, q, u, x)
+    assert batched.shape == (50,) and batched.dtype == np.complex128
+    scalars = [dec.k1_at_arc(*s) for s in zip(a.tolist(), q.tolist(), u.tolist(), x.tolist())]
+    assert all(type(v) is complex for v in scalars)
+    scale = (2 * N + 1) * math.exp(-4.0) / dec.phi_hat0  # |K_N| <= 2N+1, bump <= e^-4
+    assert np.abs(batched - np.array(scalars)).max() <= 1e-14 * scale
+    t = a / q + u / (q * q)
+    want = [_kernel(N, d, xi, ti) * float(dec.phi.bump.profile(ui)) / dec.phi_hat0
+            for xi, ti, ui in zip(x.tolist(), t.tolist(), u.tolist())]
+    assert np.abs(batched - np.array(want)).max() <= 1e-14 * scale
+    assert dec.k1_at_arc([], [], [], []).shape == (0,)
+
+
 def test_decomposition_identity_random_points():
     # K_1 + K_2 = K_N at 1e4 random points, 1e-8 relative to the kernel
     # height, with K_2 evaluated from its Fourier coefficient rule: the
