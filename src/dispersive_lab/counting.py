@@ -218,8 +218,11 @@ def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = Tru
     """Sorted packed keys key = base + A * stride + B of the b-tuple table, and their values.
 
     Each level adds every delta key to every key of the level below. The
-    pairs are laid out delta-major: delta keys increase, so the sort sees
-    one sorted run per delta. For odd d an unweighted table is symmetric
+    pairs are laid out delta-major, delta keys increasing: one sorted run
+    per delta. ``sum_by_key`` sums equal keys in input order, so this layout
+    fixes the order in which every value is added up, and pinned weighted
+    bits rely on it; it sorts the key column as packed (key, row) words
+    unless the key span is too wide. For odd d an unweighted table is symmetric
     under (A, B) -> (-A, -B), i.e. key -> 2 base - key, so its top level is
     built to the centre ``base`` only (the zero tuple always lands there, as
     the last key) and mirrored; ``mirror_top=False`` returns that half. The

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 
@@ -73,6 +74,23 @@ def test_pair_table_entry():
 def test_total_mass_identity():
     for d, b, N in [(3, 2, 4), (5, 2, 3), (3, 3, 2), (7, 2, 2)]:
         assert power_sum_distribution(SystemSpec(d, b, N))[2].sum() == (2 * N + 1) ** b
+
+
+@pytest.mark.parametrize("dbn, rows, digest, packed", [
+    ((3, 3, 32), 42_839, "f05db9fc6f7e6b77f4bdd1bd2575c7e73a838ff3b95f6f3ae411caa6b5d95652", True),
+    # a key span of about 2^53 over 2^20 pairs does not pack: np.lexsort
+    ((7, 3, 64), 357_889, "0dede88140db14af6f5f8bcb571ec70103d1da5a4087758733f68f8bf43f7b31", False),
+], ids=["d3-b3-N32-packed", "d7-b3-N64-lexsort"])
+def test_large_sparse_tables_bytes_pinned(monkeypatch, dbn, rows, digest, packed):
+    # the bytes of (A, B, count) that the stable lexsort reducer gave
+    sorted_rows = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda cols: sorted_rows.append(len(cols[0]))
+                        or lexsort(cols))
+    A, B, value = power_sum_distribution(SystemSpec(*dbn))
+    assert len(A) == rows
+    assert hashlib.sha256(A.tobytes() + B.tobytes() + value.tobytes()).hexdigest() == digest
+    assert (max(sorted_rows, default=0) < kernels._PACK_ROWS) == packed
 
 
 def test_count_s_examples():

@@ -160,6 +160,84 @@ def test_sum_by_key_exact_integers_and_empty():
     assert len(uniq) == len(lam) == len(sums) == 0
 
 
+def _lexsort_sum_by_key(key_columns, vals):
+    """The reducer through a stable np.lexsort on every input: the oracle."""
+    order = np.lexsort(key_columns[::-1])
+    vals = vals[order]
+    keys = [col[order] for col in key_columns]
+    new = np.zeros(len(vals), dtype=bool)
+    new[:1] = True
+    for col in keys:
+        new[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(new)
+    return [col[starts] + 0 for col in keys], np.add.reduceat(vals, starts)
+
+
+def _packs(monkeypatch, key, vals):
+    """Whether sum_by_key reduces ``(key,)`` as packed words, i.e. without np.lexsort;
+    asserts that its keys and sums equal the oracle's, dtype and bytes."""
+    calls = []
+    lexsort = np.lexsort
+    with monkeypatch.context() as m:
+        m.setattr(np, "lexsort", lambda cols: calls.append(len(cols)) or lexsort(cols))
+        (got,), sums = kernels.sum_by_key((key,), vals)
+    (want,), want_sums = _lexsort_sum_by_key((key,), vals)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert sums.dtype == want_sums.dtype and sums.shape == want_sums.shape
+    assert sums.tobytes() == want_sums.tobytes()
+    return not calls
+
+
+def test_sum_by_key_packed_is_byte_identical_to_lexsort(monkeypatch):
+    rng = np.random.default_rng(11)
+    rows = 3 * kernels._PACK_ROWS
+    dup = rng.integers(0, 300, rows)  # many duplicates, nonnegative: packed as they are
+    neg = rng.integers(-500, 20, rows)  # negative keys: packed less their minimum
+    counts = rng.integers(1, 1 << 40, rows)
+    flat = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    grid = rng.standard_normal((rows, 5)) + 1j * rng.standard_normal((rows, 5))  # (rows, times)
+    for key in (dup, neg):
+        for vals in (counts, flat, grid):
+            assert _packs(monkeypatch, key, vals)
+    # runs of increasing keys, as a delta-major signature level lays them out
+    runs = (np.sort(rng.integers(0, 4000, (9, rows // 9)))
+            + rng.integers(0, 40, 9)[:, None]).ravel()
+    assert _packs(monkeypatch, runs, counts[:len(runs)])
+    # fewer rows, a single row and an empty input take np.lexsort, with the same result
+    for n in (kernels._PACK_ROWS - 1, 1, 0):
+        assert not _packs(monkeypatch, dup[:n], flat[:n])
+        assert not _packs(monkeypatch, dup[:n], grid[:n])
+
+
+def test_sum_by_key_packing_never_wraps(monkeypatch):
+    rng = np.random.default_rng(12)
+    rows = 5000
+    bits = (rows - 1).bit_length()  # 13 row bits leave 49 key bits
+    vals = rng.integers(-9, 10, rows)
+    # narrow integer columns are widened before the shift: shifted in int32 they would wrap
+    for dtype in (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        key = rng.integers(info.min, info.max, rows, dtype=dtype, endpoint=True)
+        key[:40] = key[40:80]  # some duplicates
+        key[80], key[81] = info.min, info.max
+        assert _packs(monkeypatch, key, vals)
+    # keys next to +-2^62: a small span, packed less the minimum
+    small = rng.integers(0, 64, rows)
+    for base in (2**62 - 64, -(2**62)):
+        assert _packs(monkeypatch, base + small, vals)
+    # the widest span that packs, and one more, which takes np.lexsort
+    for span, packed in ((2 ** (62 - bits) - 1, True), (2 ** (62 - bits), False)):
+        for lo in (0, -3, 2**62):
+            key = lo + small
+            key[[7, 3000, 4999]] = lo + span
+            key[100] = lo
+            assert _packs(monkeypatch, key, vals) == packed, (span, lo)
+    # a span of 2^63 or more does not even fit int64 arithmetic, and is not packed
+    key = rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True)
+    key[:2] = -(2**63), 2**63 - 1
+    assert not _packs(monkeypatch, key, vals)
+
+
 @pytest.mark.parametrize("table", [BumpSpec().fourier_transform, _window_table(3)],
                          ids=["bump-4-point", "window-j3-8-point"])
 def test_tabulated_read_at_a_node_returns_the_entry(table):

@@ -59,6 +59,18 @@ def test_even_norm_bits_pinned():
         assert even_norm(vec, b, d).hex() == pinned, (d, b, N)
 
 
+def test_even_norm_bits_pinned_large_sparse(monkeypatch):
+    # a sparse top level of 2,057,875 pairs: the bits that the stable lexsort
+    # reducer gave, whatever sort the reducer uses
+    pairs = []
+    sum_by_key = counting.sum_by_key
+    monkeypatch.setattr(counting, "sum_by_key",
+                        lambda cols, vals: pairs.append(len(vals)) or sum_by_key(cols, vals))
+    vec = random_vec(np.random.default_rng(7), 12)
+    assert even_norm(vec, 6, 5).hex() == "0x1.9a73374f6067bp+0"
+    assert max(pairs) == 2_057_875
+
+
 def test_even_norm_reflection_covariant():
     rng = np.random.default_rng(3)
     for d in (3, 5):
