@@ -113,51 +113,115 @@ def nonlinear_term(u, spec: NonlinearitySpec, band_cap: int = DEFAULT_BAND_CAP):
 # exact Duhamel integration
 
 
-def _poly_exp_antiderivative(j: int, mu: float, horizon: float):
-    """int_0^t tau^j e^{i mu tau} d tau as {(power, freq): coeff} in (t^power e^{i freq t}).
-
-    Near-resonant |mu| below the tolerance is integrated by series to avoid
-    the cancellation in the closed form; the series is truncated once terms
-    fall below 1e-18 relative on [0, horizon].
-    """
-    if abs(mu) * horizon < 1e-6 or abs(mu) < RESONANCE_TOL:
-        out = {}
-        coef = 1.0 + 0j
-        for p in range(41):
-            val = coef / (j + p + 1)
-            out[(j + p + 1, 0.0)] = val
-            if abs(val) * horizon ** (j + p + 1) < 1e-18 * max(horizon**j, 1e-30) and p >= 2:
-                break
-            coef *= 1j * mu / (p + 1)
-        return out
-    # recursion I_j = (t^j e^{i mu t} - j I_{j-1}) / (i mu)
-    inv = 1.0 / (1j * mu)
-    cur = {(0, mu): inv, (0, 0.0): -inv}
-    for jj in range(1, j + 1):
-        cur = {(jj, mu): inv, **{key: -jj * inv * c for key, c in cur.items()}}
-    return cur
-
-
 def duhamel(w: HarmonicTrajectory, horizon: float = 1.0) -> HarmonicTrajectory:
     """-int_0^t e^{-(t-tau) d_x^5} w(tau) d tau, exactly, as a harmonic sum.
 
-    Resonant terms (lambda = -n^5) pick up the secular factor t (and
-    t^{j+1}/(j+1) for higher powers); ``horizon`` only tunes the series
-    truncation for near-resonant frequencies. A real-symmetric forcing
-    gives an exactly real-symmetric output (the canonical-key rule of
-    ``torus``).
+    Term c t^j e^{i lam t} of mode n gives -c e^{-i n^5 t} I_j(t), where
+    I_j(t) = int_0^t tau^j e^{i mu tau} d tau and mu = lam + n^5. Resonant
+    terms (mu = 0) pick up the secular factor t^{j+1}/(j+1); ``horizon``
+    only tunes the series truncation for near-resonant frequencies. A
+    real-symmetric forcing gives an exactly real-symmetric output (the
+    canonical-key rule of ``torus``).
+
+    All terms are evaluated at once, on columns: ``_closed_slots`` for the
+    closed form, ``_series_slots`` near resonance. Complex products and
+    quotients are spelled out on real and imaginary parts and round as
+    Python's complex arithmetic does (numpy's complex multiply may fuse
+    them), so every value has the bits of the scalar recursion. The slots
+    are laid out term by term, so equal keys (every non-resonant term of
+    mode n adds to (n, 0, -n^5)) are summed in a fixed order.
     """
     real = w.is_real_symmetric()
-    rows = []
-    for n, j, lam, c in w.rows():
-        if real and n < 0:
-            continue  # the canonical-key rule fills in the conjugates
-        disp = dispersion(n)
-        for (p, freq), val in _poly_exp_antiderivative(j, lam + disp, horizon).items():
-            # e^{-i n^5 t} * t^p e^{i freq t}: freq = mu gives back e^{i lam t}
-            rows.append((n, p, freq - disp, -c * val))
-    n, p, lam, c = zip(*rows) if rows else ((),) * 4
-    return HarmonicTrajectory.from_columns(n, p, lam, c, real)
+    n, j, lam, c = (col[w.n >= 0] for col in w.columns) if real else w.columns
+    if not len(n):
+        return HarmonicTrajectory(w.convention, {})
+    disp = dispersion(n)  # raises past MAX_EXACT_MODE
+    mu = lam + disp
+    size = np.abs(mu)
+    near = (size * horizon < 1e-6) | (size < RESONANCE_TOL)
+    count = j + 2  # slots per term: t^j, ..., t^0 at mu, then the constant
+    slots = []  # (terms, slot, re, im)
+    if near.any():
+        series = near.nonzero()[0]
+        slots = _series_slots(series, j, mu, horizon)
+        count[series] = 0
+        for terms, *_ in slots:  # one slot per term still summing
+            count[terms] += 1
+    far = (~near).nonzero()[0]
+    if len(far):
+        slots += _closed_slots(far, j, mu)
+    # term by term, slot by slot: slot s of a term is t^{j-s} at mu (the
+    # constant at 0 for s = j + 1) in the closed form, t^{j+s+1} at 0 in the series
+    start = count.cumsum() - count
+    at = np.concatenate([start[terms] + slot for terms, slot, _, _ in slots])
+    re, im = np.empty(len(at)), np.empty(len(at))
+    re[at] = np.concatenate([vr for _, _, vr, _ in slots])
+    im[at] = np.concatenate([vi for _, _, _, vi in slots])
+    slot = np.arange(len(at)) - start.repeat(count)
+    j, near = j.repeat(count), near.repeat(count)
+    p = np.where(near, j + slot + 1, np.maximum(j - slot, 0))
+    freq = np.where(near | (slot > j), 0.0, mu.repeat(count))
+    cr, ci = (-c.real).repeat(count), (-c.imag).repeat(count)  # -c * val
+    out = np.empty(len(at), dtype=np.complex128)
+    out.real = cr * re - ci * im
+    out.imag = cr * im + ci * re
+    return HarmonicTrajectory.from_columns(n.repeat(count), p, freq - disp.repeat(count),
+                                           out, real)
+
+
+def _closed_slots(terms, j, mu) -> list:
+    """I_j of non-resonant terms by I_0 = (e^{i mu t} - 1)/(i mu) and
+    I_j = (t^j e^{i mu t} - j I_{j-1})/(i mu): slot j - q holds t^q e^{i mu t},
+    slot j + 1 the constant, as (terms, slot, re, im). The terms run by
+    decreasing j, so those that step jj multiplies lead the columns."""
+    terms = terms[np.argsort(-j[terms])]
+    j, m = j[terms], mu[terms]
+    zr, zi = 0.0 * m - 0.0, 0.0 + m  # 1j * mu
+    ratio = zr / zi  # 1.0 / (1j * mu): Python's quotient for |imag| > |real|
+    denom = zr * ratio + zi
+    inv = ((ratio + 0.0) / denom, (0.0 * ratio - 1.0) / denom)
+    powers = [(inv[0].copy(), inv[1].copy())]  # t^q e^{i mu t}, q = 0, 1, ...
+    const = (-inv[0], -inv[1])
+    for jj in range(1, j[0] + 1):
+        top = np.count_nonzero(j >= jj)
+        ir, ii = inv[0][:top], inv[1][:top]
+        fr, fi = -jj * ir - 0.0 * ii, -jj * ii + 0.0 * ir  # -jj * inv
+        for vr, vi in powers + [const]:
+            vr[:top], vi[:top] = fr * vr[:top] - fi * vi[:top], fr * vi[:top] + fi * vr[:top]
+        powers.append((ir.copy(), ii.copy()))
+    slots = [(terms, j + 1, *const)]
+    for q, (vr, vi) in enumerate(powers):
+        top = np.count_nonzero(j >= q)
+        slots.append((terms[:top], j[:top] - q, vr[:top], vi[:top]))
+    return slots
+
+
+def _series_slots(terms, j, mu, horizon: float) -> list:
+    """I_j of near-resonant terms by its series sum_p t^{j+p+1} (i mu)^p /
+    (p! (j+p+1)), where the closed form would cancel: slot p is t^{j+p+1} at
+    frequency 0, as (terms, slot, re, im). A term stops after slot p >= 2
+    once |val| horizon^{j+p+1} < 1e-18 max(horizon^j, 1e-30), or after p = 40."""
+    j, mu = j[terms], mu[terms]
+    hpow = np.array([horizon ** k for k in range(int(j.max()) + 42)], dtype=float)
+    limit = 1e-18 * np.maximum(hpow[j], 1e-30)
+    zr, zi = 0.0 * mu - 0.0, 0.0 + mu  # 1j * mu
+    ar, ai = zr + zi * 0.0, zi - zr * 0.0  # divided by p + 1 below, as Python divides
+    cr, ci = np.ones(len(terms)), np.zeros(len(terms))  # coef = (i mu)^p / p!
+    out = []
+    for p in range(41):
+        k = j + (p + 1)
+        vr, vi = (cr + ci * 0.0) / k, (ci - cr * 0.0) / k  # coef / (j + p + 1)
+        out.append((terms, p, vr, vi))
+        if p >= 2:
+            go = ~(np.hypot(vr, vi) * hpow[k] < limit)
+            if not go.any():
+                break
+            if not go.all():
+                terms, j, limit, ar, ai, cr, ci = (
+                    a[go] for a in (terms, j, limit, ar, ai, cr, ci))
+        wr, wi = ar / (p + 1), ai / (p + 1)
+        cr, ci = cr * wr - ci * wi, cr * wi + ci * wr  # coef *= 1j * mu / (p + 1)
+    return out
 
 
 def first_iterate(phi: FourierSeries, spec: NonlinearitySpec) -> HarmonicTrajectory:
@@ -269,8 +333,9 @@ class SampledTrajectory:
         if len(a) > len(b):
             a, b = b, a
         out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:], dtype=np.complex128)
+        row = np.empty_like(out[:len(b)])  # one buffer for every row's products
         for i in range(len(a)):
-            out[i:i + len(b)] += a[i] * b
+            out[i:i + len(b)] += np.multiply(a[i], b, out=row)
         return SampledTrajectory(self.times, self.band + other.band, out)
 
     def truncated(self, band: int) -> tuple["SampledTrajectory", float]:

@@ -16,11 +16,13 @@ A float t needs n^d exact in float64, so a band with N^d >= 2^53 raises
 cycles per mode. A ``Fraction`` t = a/q is reduced exactly, as
 (a n^d mod q)/q in Python integers, at any n.
 
-``sum_by_key`` sums the values of equal keys in input order. One signed
-integer key column of at least ``_PACK_ROWS`` rows whose span fits beside
-the row index in 62 bits is sorted as unique packed (key, row) int64 words
-by ``ndarray.sort``, which gives the stable order; any other input falls back
-to a stable ``np.lexsort``. Both give the same bytes.
+``sum_by_key`` sums the values of equal keys in input order. Integer-valued
+key columns (signed integers, or float64 integers below 2^53) whose spans,
+multiplied, fit beside the row index in 62 bits are sorted as unique packed
+(key digits, row) int64 words by ``ndarray.sort``, which gives the stable
+order: one column from ``_PACK_ROWS`` rows, several from ``_PACK_ROWS_MULTI``.
+Any other input falls back to a stable ``np.lexsort``. Both give the same
+bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ HAVE_COMPILED = False  # numpy is the only backend; kept for run records
 EXACT_LIMIT = 2**53  # float64 holds every integer below it exactly
 _BLOCK_CELLS = 1 << 15  # (point, mode) cells per curve_sum block
 _READ_CHUNK = 1 << 13  # arguments per table read; bounds the gathered temporaries
-_PACK_ROWS = 1 << 12  # fewer rows sort faster by np.lexsort than the passes that pack them
+_PACK_ROWS = 1 << 12  # fewer rows of one key column sort faster by np.lexsort than packed
+_PACK_ROWS_MULTI = 1 << 10  # and fewer rows of several columns
 
 
 class BandCapExceeded(ValueError):
@@ -218,58 +221,100 @@ def sum_by_key(key_columns, vals):
     summed in input order. Keys compare by value, so float keys -0.0 and 0.0
     merge; every key is returned with +0.0.
 
-    One signed integer column of at least _PACK_ROWS rows whose span fits
-    (``_packing``) is sorted as packed int64 words (key - lo) << bits | row,
-    in place by ``ndarray.sort``: the words are unique, so their order is
-    the stable order, at a fraction of the cost of an indirect sort. The
-    span test runs in Python integers and the column is cast to int64 before
-    the shift, so no word wraps. Several columns, a float column, fewer rows
-    or a wider span take a stable ``np.lexsort``.
+    Integer-valued key columns whose spans fit (``_packing``) are sorted as
+    packed int64 words: the columns' digits in mixed radix, first column most
+    significant, shifted above the row index and sorted in place by
+    ``ndarray.sort``. The words are unique, so their order is the stable
+    order, at a fraction of the cost of an indirect sort; equal keys are
+    equal words above the row bits, and each column is read back from the
+    words at the run starts only. The span test runs in Python integers and
+    every digit is a nonnegative int64 below its span, so no word wraps.
+    Other inputs take a stable ``np.lexsort``; both give the same bytes.
     """
-    key = key_columns[0]
-    pack = len(key) >= _PACK_ROWS and len(key_columns) == 1 and _packing(key)
+    pack = _packing(key_columns)
     if pack:
-        lo, bits = pack
-        dtype = key.dtype
-        del key_columns  # a caller's temporary inputs are freed here, not on return
-        if lo:
+        (digits, bits), dtypes = pack, [col.dtype for col in key_columns]
+        del pack, key_columns  # a caller's temporary inputs are freed here, not on return
+        (key, lo, _), *rest = digits
+        if lo or rest:
             word = np.subtract(key, lo, dtype=np.int64)
+            for key, lo, span in rest:
+                word *= span
+                word += np.subtract(key, lo, dtype=np.int64)
             word <<= bits
         else:  # one pass
             word = np.left_shift(key, bits, dtype=np.int64)
-        del key
+        radix = [(lo, span) for _, lo, span in digits]
+        del digits, rest, key
         rows = np.arange(len(word))
         word |= rows
         word.sort()
         vals = vals[np.bitwise_and(word, (1 << bits) - 1, out=rows)]  # the order, into rows
         del rows
         word >>= bits
-        if lo:
-            word += lo
-        keys = [word.astype(dtype, copy=False)]
-    else:
-        order = np.lexsort(key_columns[::-1])
-        vals = vals[order]
-        keys = [col[order] for col in key_columns]
-        del order, key_columns, key  # a caller's temporary inputs are freed here, not on return
+        starts = np.concatenate(([True], word[1:] != word[:-1])).nonzero()[0]
+        word = word[starts]
+        keys = []
+        for (lo, span), dtype in zip(radix[::-1], dtypes[::-1]):  # last column first
+            col = word
+            if span:
+                word, col = np.divmod(word, span)
+            keys.append((col + lo if lo else col).astype(dtype, copy=False))
+        return keys[::-1], np.add.reduceat(vals, starts)
+    order = np.lexsort(key_columns[::-1])
+    vals = vals[order]
+    keys = [col[order] for col in key_columns]
+    del order, key_columns  # a caller's temporary inputs are freed here, not on return
     new = np.zeros(len(vals), dtype=bool)
     new[:1] = True
     for col in keys:
         new[1:] |= col[1:] != col[:-1]
-    starts = np.flatnonzero(new)
-    return [col[starts] + 0 for col in keys], np.add.reduceat(vals, starts)
+    starts = new.nonzero()[0]
+    return ([col[starts] + 0 if col.dtype.kind == "f" else col[starts] for col in keys],
+            np.add.reduceat(vals, starts))
 
 
-def _packing(key):
-    """(lo, bits) that pack a signed integer column with its row index into
-    int64 words (key - lo) << bits | row, bits = bit_length(rows - 1), or None
-    when the span max - min does not fit below 2^(62 - bits). lo is 0 when
-    the keys are nonnegative and fit as they are, else their minimum."""
-    if key.dtype.kind != "i":
+def _packing(key_columns):
+    """(digits, bits) that pack the key columns with the row index into int64
+    words, or None; bits = bit_length(rows - 1).
+
+    ``digits`` holds (values, lo, span) per column: every column must hold
+    only integers (``_integer_values``), and the product of the spans
+    hi - lo + 1 must fit below 2^(62 - bits). One column needs at least
+    ``_PACK_ROWS`` rows, several ``_PACK_ROWS_MULTI``. The first column is
+    the most significant digit, so its span is None (never divided out); a
+    lone column's lo is 0 when its keys are nonnegative and fit as they are.
+    """
+    rows = len(key_columns[0])
+    if rows < (_PACK_ROWS if len(key_columns) == 1 else _PACK_ROWS_MULTI):
         return None
-    bits = (len(key) - 1).bit_length()
-    lo, hi = int(key.min()), int(key.max())
+    bits = (rows - 1).bit_length()
     room = 62 - bits  # key bits a word holds above the row bits
-    if (hi - lo) >> room:
-        return None
-    return (0 if lo >= 0 and hi >> room == 0 else lo), bits
+    digits, total = [], 1
+    for col in key_columns:
+        found = _integer_values(col)
+        if found is None:
+            return None
+        values, lo, hi = found
+        total *= hi - lo + 1
+        if (total - 1) >> room:
+            return None
+        digits.append((values, lo, hi - lo + 1 if digits else None))
+    if len(digits) == 1 and lo >= 0 and hi >> room == 0:
+        digits = [(values, 0, None)]
+    return digits, bits
+
+
+def _integer_values(col):
+    """(values, lo, hi): a signed integer column as it is, or a float64 column
+    that holds only integers below 2^53 in modulus as int64; None for any
+    other column, and for NaN, inf or a non-integer."""
+    if col.dtype.kind == "i":
+        return col, int(col.min()), int(col.max())
+    if col.dtype == np.float64:
+        lo, hi = col.min(), col.max()
+        if -EXACT_LIMIT < lo and hi < EXACT_LIMIT:  # false for NaN and inf
+            values = col.astype(np.int64)
+            if np.array_equal(values, col):
+                return values, int(lo), int(hi)
+    return None

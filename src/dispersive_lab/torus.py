@@ -15,10 +15,16 @@ trajectory holds its terms as four columns (n, j, lambda, c) sorted by the
 key (n, j, lambda). Every operation builds its output rows as columns and
 hands them to the one sort-and-sum reducer, ``kernels.sum_by_key``, which
 merges equal keys in a fixed order: a result does not depend on the order
-in which its inputs were built.
+in which its inputs were built. The frequencies the library builds are
+integers, so from ``kernels._PACK_ROWS_MULTI`` rows up the three key columns
+usually sort as one packed int64 word per row. ``coefficients`` evaluates a
+trajectory on a time grid with one exp(i lambda t) row per distinct lambda
+and one t^j row per power, gathered for each block of terms.
 
 Real data stays exactly real by one rule. When every input is exactly
-conjugate-symmetric (``is_real_symmetric()``), an operation computes only
+conjugate-symmetric (``is_real_symmetric()``: tested once per trajectory;
+results of this rule, and sums and truncations of trajectories known to be
+real, record it without the test), an operation computes only
 the canonical output keys, those with (n, lambda) >= (0, 0); each mirror key
 (-n, j, -lambda) receives the conjugate, and a self-mirrored key (n = 0,
 lambda = 0) keeps only its real part. Inputs that are not exactly
@@ -108,7 +114,8 @@ class HarmonicTrajectory:
     @classmethod
     def from_columns(cls, n, j, lam, c, real: bool = False) -> "HarmonicTrajectory":
         """Sum of the rows (n, j, lam, c); ``real`` applies the canonical-key
-        rule of the module docstring."""
+        rule of the module docstring, and the result records that it is
+        real-symmetric."""
         out = cls.__new__(cls)
         out._assign(n, j, lam, c, real)
         return out
@@ -120,18 +127,23 @@ class HarmonicTrajectory:
             canonical = (n > 0) | ((n == 0) & (lam >= 0.0))
             (n, j, lam), c = sum_by_key((n[canonical], j[canonical], lam[canonical]),
                                         c[canonical])
-            own = (n == 0) & (lam == 0.0)
-            c = np.where(own, c.real, c)
-            n, j, lam, c = (np.concatenate((col, other[~own])) for col, other in
+            mirrored = (n != 0) | (lam != 0.0)  # a self-mirrored key keeps its real part
+            c = np.where(mirrored, c, c.real)
+            n, j, lam, c = (np.concatenate((col, other[mirrored])) for col, other in
                             ((n, -n), (j, j), (lam, -lam), (c, np.conj(c))))
         (n, j, lam), c = sum_by_key((n, j, lam), c)
         kept = c != 0
-        big = np.flatnonzero(kept & (np.abs(lam) >= EXACT_LIMIT))
-        if len(big):
-            raise BandCapExceeded(
-                f"frequency {lam[big[0]]:.17g} of mode {n[big[0]]} is not below 2^53, "
-                "where float64 stops holding integers exactly")
-        self.n, self.j, self.lam, self.c = n[kept], j[kept], lam[kept], c[kept]
+        big = np.abs(lam) >= EXACT_LIMIT
+        if big.any():  # of a kept term
+            big = (big & kept).nonzero()[0]
+            if len(big):
+                raise BandCapExceeded(
+                    f"frequency {lam[big[0]]:.17g} of mode {n[big[0]]} is not below 2^53, "
+                    "where float64 stops holding integers exactly")
+        if not kept.all():
+            n, j, lam, c = n[kept], j[kept], lam[kept], c[kept]
+        self.n, self.j, self.lam, self.c = n, j, lam, c
+        self._real = True if real else None  # is_real_symmetric, once known
 
     @staticmethod
     def from_series(f: FourierSeries) -> "HarmonicTrajectory":
@@ -162,8 +174,11 @@ class HarmonicTrajectory:
         return HarmonicTrajectory(self.convention, {(0, 0, 0.0): c})
 
     def __add__(self, other: "HarmonicTrajectory") -> "HarmonicTrajectory":
-        return HarmonicTrajectory.from_columns(
+        out = HarmonicTrajectory.from_columns(
             *(np.concatenate(pair) for pair in zip(self.columns, other.columns)))
+        if self._real and other._real:  # conj(a + b) = conj(a) + conj(b), key by key
+            out._real = True
+        return out
 
     def __sub__(self, other: "HarmonicTrajectory") -> "HarmonicTrajectory":
         return self + other.scaled(-1.0)
@@ -204,22 +219,30 @@ class HarmonicTrajectory:
         """Mode coefficients at each time: array[n + band, m] at times[m], |n| <= band.
 
         Terms with |n| > band are left out. Terms are summed in (n, j, lambda)
-        order, in blocks of at most ``_BLOCK_CELLS`` (term, time) cells. For a
-        real-symmetric trajectory only the rows n >= 0 are summed: row -n is
-        the conjugate of row n and row 0 keeps its real part.
+        order, in blocks of at most ``_BLOCK_CELLS`` (term, time) cells; the n
+        column is sorted, so a block sums its runs of equal n in place. A cell
+        is c * t^j * e^{i lambda t}, its factors read from one row per power
+        and per distinct frequency. For a real-symmetric trajectory only the
+        rows n >= 0 are summed: row -n is the conjugate of row n and row 0
+        keeps its real part.
         """
         times = np.asarray(times, dtype=float)
         out = np.zeros((2 * band + 1, len(times)), dtype=np.complex128)
         real = self.is_real_symmetric()
         sel = ((0 if real else -band) <= self.n) & (self.n <= band)
         n, j, lam, c = (col[sel] for col in self.columns)
+        # one row of t^j per j = 0, ..., max j, one of e^{i lam t} per distinct lam
+        powers = times ** np.arange(j.max(initial=0) + 1)[:, None]
+        waves, lam = np.unique(lam, return_inverse=True)
+        waves = np.multiply.outer(1j * waves, times)
+        np.exp(waves, out=waves)
         step = max(1, _BLOCK_CELLS // max(len(times), 1))
         for lo in range(0, len(c), step):
             blk = slice(lo, lo + step)
-            vals = (c[blk, None] * times ** j[blk, None]
-                    * np.exp(1j * lam[blk, None] * times))
-            (rows,), sums = sum_by_key((n[blk],), vals)
-            out[rows + band] += sums
+            vals = c[blk, None] * powers[j[blk]] * waves[lam[blk]]
+            rows = n[blk]  # sorted: sum each run of equal n in order
+            starts = np.concatenate(([True], rows[1:] != rows[:-1])).nonzero()[0]
+            out[rows[starts] + band] += np.add.reduceat(vals, starts)
         if real:
             out[:band] = np.conj(out[:band:-1])
             out[band] = out[band].real
@@ -237,16 +260,23 @@ class HarmonicTrajectory:
     def truncated(self, band: int) -> tuple["HarmonicTrajectory", float]:
         kept = np.abs(self.n) <= band
         dropped = float(np.sqrt(np.sum(np.abs(self.c[~kept]) ** 2)))
-        return HarmonicTrajectory.from_columns(*(col[kept] for col in self.columns)), dropped
+        out = HarmonicTrajectory.from_columns(*(col[kept] for col in self.columns))
+        if self._real:  # a key and its mirror are kept or dropped together
+            out._real = True
+        return out, dropped
 
     def is_real_symmetric(self) -> bool:
         """True iff every key (n, j, lambda) has its mirror (-n, j, -lambda)
-        with exactly the conjugate amplitude."""
-        mirror = np.lexsort((-self.lam, self.j, -self.n))
-        return (np.array_equal(self.n, -self.n[mirror])
-                and np.array_equal(self.j, self.j[mirror])
-                and np.array_equal(self.lam, -self.lam[mirror])
-                and np.array_equal(self.c, np.conj(self.c[mirror])))
+        with exactly the conjugate amplitude. Tested once and remembered; a
+        trajectory built by the canonical-key rule is symmetric by
+        construction and skips the test."""
+        if self._real is None:
+            mirror = np.lexsort((-self.lam, self.j, -self.n))
+            self._real = (np.array_equal(self.n, -self.n[mirror])
+                          and np.array_equal(self.j, self.j[mirror])
+                          and np.array_equal(self.lam, -self.lam[mirror])
+                          and np.array_equal(self.c, np.conj(self.c[mirror])))
+        return self._real
 
     def to_json(self) -> str:
         records = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -378,3 +379,42 @@ def test_embeddings_command(tmp_path):
     lines = (out / "embeddings.csv").read_text().splitlines()
     assert lines[0] == "trial,l4,xsb,ratio"
     assert len(lines) == 3
+
+
+# sha256 of the dispersive commands' default outputs (every file but
+# manifest.json), taken before the exact Picard path moved to columns
+# (numpy 2.4, x86-64 with AVX-512; another libm or SIMD level may round
+# some floats differently)
+DISPERSIVE_DIGESTS = [
+    ("solve", {}, {
+        "picard.csv": "5e5a280bf564958c756b3e88f75c1086f9bb5d1b99df7c2f121930cad1bf9612",
+        "solve_report.json": "854986423b91dac8a978f2d8d423b58427da51921b56a0809e6702e5e8e1e253",
+        "trajectory.json": "c9172f40be8bbe3bb1883b0b42292e6a2fa4660c2284316fe7f35ed55a893db0"}),
+    ("gauge-check", {}, {
+        "gauge.json": "51bdf1e2e3fb2801c9d014d7fde58c95a2eda635014089d78a9a8380a2194841"}),
+    ("illposed", {"case": "p1"}, {
+        "illposed.csv": "0f9852effa747507eee325b903c254fae310e9a401c245e6efd574dcddb51af8",
+        "illposed.svg": "7809937b4f66c2529948c47d30107fc9cef8a17b3bf63b47564bb35f2e98e3a4",
+        "slope.json": "b0bbc7f0f5823fc990d8e5d0f8b0f1ecaff2c14092e9225f17a3f66a592a6a1b"}),
+    ("illposed", {"case": "p2"}, {
+        "illposed.csv": "76cd603224a57e0efcae40a3ec0f766fbb32d46d1cc3569b8170a115c265f2d6",
+        "illposed.svg": "b691da627854fb2076b77c8bc17d02f6e98256b4197451c59967d3f80f553671",
+        "slope.json": "dc17cec4b25d9628842449376ba6712cfcc5222b122f1a6f071662e5ea4b4b39"}),
+    ("embeddings", {}, {
+        "embeddings.csv": "92c0c5da27ec848cc7a5e00a4a2a45a494e5cca8be76949a58d59c9b4a6d5652"}),
+]
+
+
+@pytest.mark.parametrize("command, params, digests", DISPERSIVE_DIGESTS,
+                         ids=["solve", "gauge-check", "illposed-p1", "illposed-p2", "embeddings"])
+def test_dispersive_outputs_bytes_pinned(tmp_path, command, params, digests):
+    from dispersive_lab import cli
+
+    argv = [command, "--out", str(tmp_path)]
+    for key, val in params.items():
+        argv += ["--param", f"{key}={val}"]
+    assert cli.main(argv) == 0
+    files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+    assert sorted(files) == sorted(digests)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+    assert got == digests

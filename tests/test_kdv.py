@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 
@@ -23,7 +24,7 @@ from dispersive_lab.kdv import (
     u_p2,
     u_squared_p1,
 )
-from dispersive_lab.kdv import _cumulative_simpson
+from dispersive_lab.kdv import RESONANCE_TOL, _cumulative_simpson
 from dispersive_lab.norms import dispersion, h_s_norm
 from dispersive_lab.torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
 
@@ -232,6 +233,95 @@ def test_duhamel_real_forcing_matches_termwise_sum():
     assert max(abs(got.terms[k] - want.terms[k]) for k in want.terms) <= 1e-15 * scale
 
 
+def _poly_exp_antiderivative(j, mu, horizon):
+    """int_0^t tau^j e^{i mu tau} d tau as {(power, freq): coeff}, one term at a
+    time in Python complex arithmetic: the scalar recursion that ``duhamel``
+    evaluates on columns."""
+    if abs(mu) * horizon < 1e-6 or abs(mu) < RESONANCE_TOL:
+        out = {}
+        coef = 1.0 + 0j
+        for p in range(41):
+            val = coef / (j + p + 1)
+            out[(j + p + 1, 0.0)] = val
+            if abs(val) * horizon ** (j + p + 1) < 1e-18 * max(horizon**j, 1e-30) and p >= 2:
+                break
+            coef *= 1j * mu / (p + 1)
+        return out
+    # recursion I_j = (t^j e^{i mu t} - j I_{j-1}) / (i mu)
+    inv = 1.0 / (1j * mu)
+    cur = {(0, mu): inv, (0, 0.0): -inv}
+    for jj in range(1, j + 1):
+        cur = {(jj, mu): inv, **{key: -jj * inv * c for key, c in cur.items()}}
+    return cur
+
+
+def scalar_duhamel(w, horizon=1.0):
+    """Duhamel term by term through ``_poly_exp_antiderivative``: the oracle."""
+    real = w.is_real_symmetric()
+    rows = []
+    for n, j, lam, c in w.rows():
+        if real and n < 0:
+            continue
+        disp = dispersion(n)
+        for (p, freq), val in _poly_exp_antiderivative(j, lam + disp, horizon).items():
+            rows.append((n, p, freq - disp, -c * val))
+    n, p, lam, c = zip(*rows) if rows else ((),) * 4
+    return HarmonicTrajectory.from_columns(n, p, lam, c, real)
+
+
+def random_forcing(rng, real):
+    """Terms on modes -6..6 with j up to 3: exactly resonant, near-resonant
+    (series), integer, half-integer and non-integer frequencies, and some
+    purely real or purely imaginary amplitudes; conjugate mirrors if ``real``."""
+    terms = {}
+    for _ in range(int(rng.integers(1, 40))):
+        n, j = int(rng.integers(0 if real else -6, 7)), int(rng.integers(0, 4))
+        kind = int(rng.integers(0, 5))
+        lam = -float(n) ** 5 + (
+            0.0, float(rng.choice([1e-12, -3e-10, 2e-7, -5e-8])),
+            float(rng.integers(-20000, 20000)) + 0.5 * int(rng.integers(0, 2)),
+            float(rng.standard_normal() * 1e3), float(rng.integers(-50, 50)))[kind]
+        c = complex(*rng.standard_normal(2))
+        c = (c, complex(c.real, 0.0), complex(0.0, c.imag))[int(rng.integers(0, 3))]
+        if real and n == 0 and lam == 0.0:
+            c = complex(c.real, 0.0)
+        terms[(n, j, lam)] = c
+        if real:
+            terms[(-n, j, -lam)] = c.conjugate()
+    return HarmonicTrajectory(TP, terms)
+
+
+def test_duhamel_columns_match_scalar_recursion_bytes():
+    rng = np.random.default_rng(3)
+    slots = set()
+    for trial in range(300):
+        w = random_forcing(rng, real=trial % 2 == 0)
+        assert w.is_real_symmetric() == (trial % 2 == 0)
+        for horizon in (1.0, 2e-3, 1e7, 3):
+            want, got = scalar_duhamel(w, horizon), duhamel(w, horizon)
+            for a, b in zip(want.columns, got.columns):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.is_real_symmetric() == want.is_real_symmetric()
+            for j, lam in zip(w.j.tolist(), (w.lam + dispersion(w.n)).tolist()):
+                slots.add(len(_poly_exp_antiderivative(j, lam, horizon)))
+    assert {2, 3, 4, 5} <= slots and max(slots) > 6  # closed forms j = 0..3, longer series
+    assert duhamel(HarmonicTrajectory(TP, {})).term_count() == 0
+
+
+def test_sampled_product_matches_rowwise_temporaries():
+    rng = np.random.default_rng(6)
+    times = np.linspace(0.0, 1e-3, 9)
+    for la, lb in ((1, 1), (3, 7), (9, 5)):
+        a = rng.standard_normal((la, 9)) + 1j * rng.standard_normal((la, 9))
+        b = rng.standard_normal((lb, 9)) + 1j * rng.standard_normal((lb, 9))
+        got = SampledTrajectory(times, la // 2, a).product(SampledTrajectory(times, lb // 2, b))
+        x, y = (a, b) if la <= lb else (b, a)
+        want = np.zeros((la + lb - 1, 9), dtype=np.complex128)
+        for i in range(len(x)):
+            want[i:i + len(y)] += x[i] * y
+        assert got.coeffs.tobytes() == want.tobytes()
+
+
 def test_duhamel_differential_identity():
     # d/dt D(w) + d_x^5 D(w) = -w, term by term on random forcings
     rng = np.random.default_rng(1)
@@ -423,6 +513,32 @@ def test_picard_truncated_mass_counts_the_data_past_band_cap():
                           time_samples=33)
     assert states[-1].representation.startswith("sampled")
     assert all(st.truncated_mass >= math.hypot(0.03, 0.03) for st in states[1:])
+
+
+@pytest.mark.parametrize("band_cap, exact_digest, states_digest", [
+    (16, "9f21b219a7bc56f7832d180e9a72487d584fabbce759bf941d288054c1febd3e",
+     "72f5b0169223a5c3344e44b2102ac6396422b63f0518320eb7a2c87a6ddf7512"),
+    (24, "40dcab710a7d8fbe6b4ec448d0003757797b48f8b85a4dcd7a0aa8a6b1ccb83d",
+     "84d126236c86ec25d4eb30a3972b7ba57eda9d5b02378985c1152063ef6ca462"),
+])
+def test_picard_bytes_pinned(band_cap, exact_digest, states_digest):
+    # the benchmark's Picard runs: sha256 of the exact iterates' (n, j, lam, c)
+    # columns, and of every state's columns or frames with its diff norm,
+    # truncated mass and term count (numpy 2.4, x86-64 with AVX-512)
+    phi = FourierSeries(TP, {1: 0.1, -1: 0.1})
+    states = picard_solve(phi, u_squared_p1(), 1e-3, max_iter=8, band_cap=band_cap, s=1.0,
+                          time_samples=257)
+    exact = [st.trajectory for st in states if st.representation == "exact"]
+    assert len(exact) == 4
+    digest = hashlib.sha256(b"".join(col.tobytes() for u in exact for col in u.columns))
+    assert digest.hexdigest() == exact_digest
+    digest = hashlib.sha256()
+    for st in states:
+        u = st.trajectory
+        for col in (u.columns if isinstance(u, HarmonicTrajectory) else (u.coeffs,)):
+            digest.update(np.ascontiguousarray(col).tobytes())
+        digest.update(repr((st.diff_norm, st.truncated_mass, st.term_count)).encode())
+    assert digest.hexdigest() == states_digest
 
 
 def test_sampled_projection_matches_exact():

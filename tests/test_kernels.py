@@ -174,15 +174,18 @@ def _lexsort_sum_by_key(key_columns, vals):
 
 
 def _packs(monkeypatch, key, vals):
-    """Whether sum_by_key reduces ``(key,)`` as packed words, i.e. without np.lexsort;
-    asserts that its keys and sums equal the oracle's, dtype and bytes."""
+    """Whether sum_by_key reduces ``key`` (a column, or a tuple of columns) as
+    packed words, i.e. without np.lexsort; asserts that its keys and sums
+    equal the oracle's, dtype and bytes."""
+    cols = key if isinstance(key, tuple) else (key,)
     calls = []
     lexsort = np.lexsort
     with monkeypatch.context() as m:
         m.setattr(np, "lexsort", lambda cols: calls.append(len(cols)) or lexsort(cols))
-        (got,), sums = kernels.sum_by_key((key,), vals)
-    (want,), want_sums = _lexsort_sum_by_key((key,), vals)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        keys, sums = kernels.sum_by_key(cols, vals)
+    want_keys, want_sums = _lexsort_sum_by_key(cols, vals)
+    for got, want in zip(keys, want_keys, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert sums.dtype == want_sums.dtype and sums.shape == want_sums.shape
     assert sums.tobytes() == want_sums.tobytes()
     return not calls
@@ -263,3 +266,61 @@ def test_taylor_series_is_the_rule():
     w = np.linspace(-1.0, 1.0, 201) * min(XI_MOMENTS, 1.0 / reach)
     got = np.polyval(table.taylor(MOMENTS)[::-1], w)
     assert np.abs(got - table.direct(w)).max() <= 1e-15 * np.abs(table.weights).sum()
+
+
+def test_sum_by_key_packs_several_integer_valued_columns(monkeypatch):
+    rng = np.random.default_rng(13)
+    rows = 3000  # 12 row bits leave 50 key bits
+    assert rows >= kernels._PACK_ROWS_MULTI
+    n = rng.integers(-40, 41, rows)
+    j = rng.integers(0, 4, rows)
+    lam = rng.choice(rng.integers(-2**30, 2**30, 200), rows).astype(float)  # duplicates
+    lam[:300] = 0.0
+    lam[:150] *= -1.0  # the zero frequency as both -0.0 and 0.0: one key, +0.0
+    vals = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    grid = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+    for cols in ((n, j, lam), (n, lam), (j.astype(np.int32), n, lam, j),
+                 (lam, n), (np.sort(n), j, lam)):
+        for v in (vals, grid, rng.integers(-9, 10, rows)):
+            assert _packs(monkeypatch, cols, v)
+    (_, _, keys), _ = kernels.sum_by_key((n, j, lam), vals)
+    assert not np.any(np.signbit(keys) & (keys == 0.0))
+    # a float column that is not all integers below 2^53 takes np.lexsort
+    for bad in (np.nan, np.inf, -np.inf, 0.5, 2.0**53, -(2.0**53), 2.0**60):
+        odd = lam.copy()
+        odd[17] = bad
+        assert not _packs(monkeypatch, (n, j, odd), vals), bad
+    near = lam.copy()
+    near[17] = 2.0**53 - 1  # an integer float64 column, but a span past 50 bits
+    assert not _packs(monkeypatch, (n, near), vals)
+    # fewer rows take np.lexsort, with the same result
+    for k in (kernels._PACK_ROWS_MULTI - 1, 1, 0):
+        assert not _packs(monkeypatch, (n[:k], j[:k], lam[:k]), vals[:k])
+
+
+def test_sum_by_key_multi_column_span_limit(monkeypatch):
+    rng = np.random.default_rng(14)
+    rows = 3000
+    bits = (rows - 1).bit_length()
+    vals = rng.integers(-9, 10, rows)
+    # spans 16, 2 and 2^(57 - bits) multiply to exactly 2^(62 - bits): the widest that packs
+    n = rng.integers(0, 16, rows) - 7
+    j = rng.integers(0, 2, rows)
+    for lo in (0.0, -(2.0**52), 2.0**52 - 2.0**45):
+        for extra, packed in ((0, True), (1, False)):
+            span = 2 ** (62 - bits - 5) + extra
+            lam = lo + rng.integers(0, span, rows).astype(float)
+            lam[[5, 99]] = lo, lo + span - 1
+            n[[5, 99]] = -7, 8
+            j[[5, 99]] = 0, 1
+            assert _packs(monkeypatch, (n, j, lam), vals) == packed, (lo, extra)
+    # one column of span 1 beside one of span 2^(62 - bits), and of one more
+    for extra, packed in ((0, True), (1, False)):
+        span = 2 ** (62 - bits) + extra
+        key = rng.integers(0, span, rows)
+        key[[5, 99]] = 0, span - 1
+        assert _packs(monkeypatch, (np.full(rows, 3), key), vals) == packed
+    # int64 columns near +-2^62 pack less their minimum, without wrapping
+    small = rng.integers(0, 64, rows)
+    for base in (2**62 - 64, -(2**62)):
+        assert _packs(monkeypatch, (j, base + small, small), vals)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dispersive_lab.kernels import sum_by_key
 from dispersive_lab.torus import (
     BandCapExceeded,
     FourierSeries,
@@ -155,6 +156,79 @@ def test_real_trajectory_evaluates_exactly_symmetric():
         assert np.array_equal(coeffs[::-1], np.conj(coeffs))
         for t in times:
             assert u.at_time(t).is_real_symmetric()
+
+
+def blockwise_coefficients(u, times, band, block_cells=1 << 15):
+    """Mode coefficients by one exp and one power per (term, time) cell, in
+    blocks of the same size, each summed by sort: the per-cell oracle."""
+    times = np.asarray(times, dtype=float)
+    out = np.zeros((2 * band + 1, len(times)), dtype=np.complex128)
+    real = u.is_real_symmetric()
+    sel = ((0 if real else -band) <= u.n) & (u.n <= band)
+    n, j, lam, c = (col[sel] for col in u.columns)
+    step = max(1, block_cells // max(len(times), 1))
+    for lo in range(0, len(c), step):
+        blk = slice(lo, lo + step)
+        vals = c[blk, None] * times ** j[blk, None] * np.exp(1j * lam[blk, None] * times)
+        (rows,), sums = sum_by_key((n[blk],), vals)
+        out[rows + band] += sums
+    if real:
+        out[:band] = np.conj(out[:band:-1])
+        out[band] = out[band].real
+    return out
+
+
+def repeated_trajectory(rng, real, count=3000):
+    """Terms on modes -40..40 with j up to 5 that share a few hundred frequencies."""
+    lams = rng.integers(-10**6, 10**6, 300).astype(float)
+    terms = {}
+    for _ in range(count):
+        n, j, lam = int(rng.integers(0, 41)), int(rng.integers(0, 6)), float(rng.choice(lams))
+        c = complex(*rng.standard_normal(2))
+        terms[(n, j, lam)] = c
+        terms[(-n, j, -lam)] = c.conjugate() if real else complex(*rng.standard_normal(2))
+    for key in list(terms):
+        if key[0] == 0 and key[2] == 0.0:
+            terms[key] = complex(terms[key].real)
+    return HarmonicTrajectory(TWO_PI, terms)
+
+
+@pytest.mark.parametrize("samples", [1, 33, 257])
+def test_coefficients_match_per_cell_evaluation(samples):
+    rng = np.random.default_rng(samples)
+    times = np.linspace(0.0, 1e-3, samples) + (0.3 if samples == 1 else 0.0)
+    for real in (True, False):
+        u = repeated_trajectory(rng, real)
+        assert u.is_real_symmetric() == real
+        assert len(np.unique(u.lam)) < u.term_count() // 4
+        for band in (40, 17):
+            got = u.coefficients(times, band)
+            assert got.tobytes() == blockwise_coefficients(u, times, band).tobytes()
+        # and the plain sum of c t^j e^{i lam t} over every term, mode by mode
+        want = np.zeros((81, samples), dtype=np.complex128)
+        size = np.zeros((81, samples))
+        for n, j, lam, c in u.rows():
+            cell = c * times**j * np.exp(1j * lam * times)
+            want[n + 40] += cell
+            size[n + 40] += np.abs(cell)
+        got = u.coefficients(times, 40)
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+def test_real_flag_agrees_with_the_full_test():
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        u, v = random_real_trajectory(rng), random_real_trajectory(rng)
+        w = HarmonicTrajectory(TWO_PI, {(2, 0, 13.0): complex(0.6, -0.8), (-2, 0, -13.0): 0.6})
+        for x in (u.product(v), u + v, (u + v).truncated(2)[0], u.product(w), u + w,
+                  (u + w).truncated(2)[0], (u + w).truncated(1)[0], w.truncated(2)[0],
+                  u.scaled(0.5), u.x_derivative(),
+                  HarmonicTrajectory.from_columns(*u.columns, True)):
+            flag = x.is_real_symmetric()
+            fresh = HarmonicTrajectory.from_columns(*x.columns)  # not recorded: the full test
+            assert flag == fresh.is_real_symmetric()
+        assert not (u + w).truncated(2)[0].is_real_symmetric() and u.product(v)._real
+        assert (u + v)._real and (u + v).truncated(2)[0]._real
 
 
 def test_real_product_matches_brute_force():
