@@ -17,8 +17,13 @@ at most one key per multiset; sparse keys are taken whenever that bound
 keeps the largest sparse level within both the top grid and the budget,
 which also rules out a sparse refusal. For d >= 3 the tables fill well
 under 1% of their grid, so this covers most inputs; the grid rule decides
-the rest. Counts are int64 end to end, ``_plan`` refuses keys that would
-wrap, and sums of squares are Python ints, so every reported count is exact.
+the rest. Sparse keys come from one of two builders with the same bytes
+(``_build_sparse``): an unweighted table whose multiset bound fits the
+budget, so that it cannot refuse, holds one row per multiset of entries and
+sorts once, at the top; weighted tables, and unweighted ones that may
+refuse, expand and sum every level. Counts are int64 end to end, ``_plan``
+refuses keys that would wrap, and sums of squares are Python ints, so every
+reported count is exact.
 Whatever the layout, a table leaves this module as its (A, B, value)
 columns (``power_sum_distribution``) or as one sum (``count_S``,
 ``weighted_square_sum``) taken on the layout in place.
@@ -122,6 +127,12 @@ def _plan(spec: SystemSpec, budget: int, weighted: bool = False, want: str = "ta
     the same sparse build that the earlier tuple-count rule gave it (sparse
     up to (2N+1)^b = 4,000,000 tuples, the grid rule past that), so no
     input that rule computed is refused.
+
+    Which sparse builder runs is ``_build_sparse``'s choice, from the spec
+    and the budget alone: an unweighted build whose unclipped bound,
+    C(2N+b-1, b-1) * (2N+1) pairs of 16 bytes, fits the budget has nothing
+    to refuse and is built from multisets, with one sort at the top level
+    (``_multisets_fit``); any other expands and sums every level.
     Raises Int64OverflowError when packed keys or counts (up to the tuple
     mass (2N+1)^b) would not fit in int64.
     """
@@ -214,20 +225,74 @@ def _refuse_sparse(spec: SystemSpec):
     )
 
 
-def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = True):
-    """Sorted packed keys key = base + A * stride + B of the b-tuple table, and their values.
+def _multisets_fit(spec: SystemSpec, budget: int) -> bool:
+    """Whether an unweighted sparse build of ``spec`` takes ``_multiset_top``.
 
-    Each level adds every delta key to every key of the level below. The
-    pairs are laid out delta-major, delta keys increasing: one sorted run
-    per delta. ``sum_by_key`` sums equal keys in input order, so this layout
-    fixes the order in which every value is added up, and pinned weighted
-    bits rely on it; it sorts the key column as packed (key, row) words
-    unless the key span is too wide. For odd d an unweighted table is symmetric
-    under (A, B) -> (-A, -B), i.e. key -> 2 base - key, so its top level is
-    built to the centre ``base`` only (the zero tuple always lands there, as
-    the last key) and mirrored; ``mirror_top=False`` returns that half. The
-    budget check counts the full expansion, so refusals do not depend on the
-    halving.
+    It does when the multiset bound of ``_plan``, C(2N+b-1, b-1) keys of
+    level b-1 expanded by 2N+1 deltas at 16 bytes a pair, fits the budget:
+    then no level check of ``_iterated_top`` can refuse, so the two builders
+    compute the same inputs. Its top level has C(2N+b, b) rows, a share
+    (2N+b) / (b (2N+1)) of those pairs. Each count update forms cnt * L,
+    which is at most L! (cnt is at most (L-1)!) and at most b (2N+1)^b (the
+    new count times the new multiplicity), so the smaller of the two must
+    fit in int64.
+    """
+    K, b = 2 * spec.N + 1, spec.b
+    return (math.comb(K + b - 2, b - 1) * K * 16 <= budget
+            and min(math.factorial(b), b * K**b) <= INT64_MAX)
+
+
+def _multiset_top(spec: SystemSpec, keys, halved: bool):
+    """Summed (keys, counts) of the b-tuple table, from one row per multiset of entries.
+
+    ``keys`` are level 1's keys, one per entry, increasing. A level's rows
+    are its non-decreasing tuples, grouped by their largest entry j: group j
+    is the rows of level L-1 whose largest entry is at most j, a prefix, plus
+    delta key j, one contiguous add per group and no sort. A row counts the
+    ordered tuples of its multiset, L! / prod(multiplicity!); adding j
+    multiplies that by L over j's new multiplicity, exactly in int64
+    (``_multisets_fit``). Only the largest entry can repeat, and it repeats
+    just in the rows of group j of level L-1 itself, which lie at the end of
+    each new group j, so a small run counter per row is enough. The top level
+    alone is summed; with ``halved`` its rows past the centre ``keys[N]``
+    (the key of entry 0) are dropped first. Integer counts add exactly, in
+    any order, so the result has the bytes of ``_iterated_top``.
+    """
+    base = keys[spec.N]
+    deltas = keys - base
+    cnt = np.ones(len(keys), dtype=np.int64)
+    run = np.ones(len(keys), dtype=np.int8)  # multiplicity of each row's largest entry
+    ends = np.arange(1, len(keys) + 1)  # group j is rows ends[j-1] .. ends[j]-1
+    for level in range(2, spec.b + 1):
+        offsets = np.cumsum(ends)
+        # the rows of last level's group j, at the end of new group j
+        tail = np.repeat(offsets - ends, np.diff(ends, prepend=0)) + np.arange(len(cnt))
+        keys = _runs(keys, ends, deltas)
+        cnt *= level
+        cnt = _runs(cnt, ends, np.zeros_like(deltas))
+        run += 1
+        cnt[tail] //= run
+        if level < spec.b:
+            last, run = run, np.ones(len(cnt), dtype=np.int8)
+            run[tail] = last
+        ends = offsets
+    if halved:
+        keep = keys <= base
+        keys, cnt = keys[keep], cnt[keep]
+        del keep
+    (keys,), cnt = sum_by_key((keys,), cnt)
+    return keys, cnt
+
+
+def _iterated_top(spec: SystemSpec, keys, weights, budget: int, halved: bool):
+    """Summed (keys, values) of the b-tuple table by expanding every level in full.
+
+    ``keys`` are level 1's keys, one per entry, increasing. Each level adds
+    every delta key to every key of the level below. The pairs are laid
+    out delta-major, delta keys increasing: one sorted run per delta.
+    ``sum_by_key`` sums equal keys in input order, so this layout fixes the
+    order in which every value is added up, and pinned weighted bits rely
+    on it. With ``halved`` the top level is built to the centre only.
 
     Level L refuses when level L-1 has more keys than a full expansion fits
     in the budget. Below the top, level L's keys are exactly those of level
@@ -236,14 +301,10 @@ def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = Tru
     passes the limit, the build refuses before level L is summed, with the
     error that level L+1 would raise: the same inputs are refused, sooner.
     """
-    d, N = spec.d, spec.N
-    stride = 2 * spec.b_extent + 1
-    delta_keys = np.array([n * stride + nd for n, nd in _deltas(d, N)], dtype=np.int64)
-    base = (np.int64(spec.a_extent) * stride + spec.b_extent)
-    halved = weights is None and d % 2 == 1
-    if weights is None:
-        weights = np.ones(len(delta_keys), dtype=np.int64)
-    (keys,), vals = sum_by_key((delta_keys + base,), weights)
+    N = spec.N
+    base = keys[N]
+    delta_keys = keys - base
+    (keys,), vals = sum_by_key((keys,), weights)
     limit = budget // (len(delta_keys) * (8 + vals.itemsize))  # keys a level may expand
     near = delta_keys[max(0, N - 4):N + 4]  # the (at most) 8 delta keys nearest n = 0
     for level in range(2, spec.b + 1):
@@ -268,9 +329,43 @@ def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = Tru
         stops = np.searchsorted(keys, base - delta_keys, side="right")
         (keys,), vals = sum_by_key((_runs(keys, stops, delta_keys),),
                                    _runs(vals, stops, np.zeros_like(delta_keys)))
-        if mirror_top:
-            keys = np.concatenate((keys, 2 * base - keys[-2::-1]))
-            vals = np.concatenate((vals, vals[-2::-1]))
+    return keys, vals
+
+
+def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = True):
+    """Sorted packed keys key = base + A * stride + B of the b-tuple table, and their values.
+
+    Two builders give the same bytes. Unweighted tables whose multiset bound
+    fits the budget (``_multisets_fit``) are built by ``_multiset_top``: one
+    row per non-decreasing tuple and one sort, at the top level. Those
+    inputs cannot refuse. Weighted tables, whose float sums depend on the
+    order of addition, and unweighted ones that may refuse, whose refusals
+    depend on the exact key count of every level, are built by
+    ``_iterated_top``, which expands and sums every level and refuses when
+    a level would not fit the budget. The choice depends on the spec and
+    the budget only.
+
+    For odd d an unweighted table is symmetric under (A, B) -> (-A, -B),
+    i.e. key -> 2 base - key, so for b >= 2 its top level is built to the
+    centre ``base`` only (the zero tuple always lands there, as the last
+    key) and mirrored; ``mirror_top=False`` returns that half. The budget
+    check counts the full expansion, so refusals do not depend on the
+    halving.
+    """
+    stride = 2 * spec.b_extent + 1
+    keys = np.array([n * stride + nd for n, nd in _deltas(spec.d, spec.N)], dtype=np.int64)
+    base = np.int64(spec.a_extent) * stride + spec.b_extent
+    keys += base
+    halved = weights is None and spec.d % 2 == 1 and spec.b > 1
+    if weights is None and _multisets_fit(spec, budget):
+        keys, vals = _multiset_top(spec, keys, halved)
+    else:
+        if weights is None:
+            weights = np.ones(len(keys), dtype=np.int64)
+        keys, vals = _iterated_top(spec, keys, weights, budget, halved)
+    if halved and mirror_top:
+        keys = np.concatenate((keys, 2 * base - keys[-2::-1]))
+        vals = np.concatenate((vals, vals[-2::-1]))
     return keys, vals
 
 
@@ -553,6 +648,11 @@ BLOCK_RATIO_EPS = 0.05  # the epsilon of ramanujan_block_ratio's Q^{1+eps}
 
 
 def ramanujan_block_ratio(Q: int, n: int) -> float:
-    """sum_{Q <= q < 2Q} |c_q(n)| divided by d(n, Q) * Q^{1+eps}, eps = BLOCK_RATIO_EPS."""
+    """sum_{Q <= q < 2Q} |c_q(n)| divided by d(n, Q) * Q^{1+eps}, eps = BLOCK_RATIO_EPS.
+
+    Needs Q >= 2, where q = 1 makes d(n, Q) at least 1.
+    """
+    if Q < 2:
+        raise ValueError(f"ramanujan_block_ratio needs Q >= 2, got Q = {Q}")
     block = int(np.abs(ramanujan_sum(np.arange(Q, 2 * Q), n)).sum())
     return block / (divisor_count(n, Q) * Q ** (1.0 + BLOCK_RATIO_EPS))

@@ -23,12 +23,12 @@ and one t^j row per power, gathered for each block of terms.
 
 Real data stays exactly real by one rule. When every input is exactly
 conjugate-symmetric (``is_real_symmetric()``: tested once per trajectory;
-results of this rule, and sums and truncations of trajectories known to be
-real, record it without the test), an operation computes only
-the canonical output keys, those with (n, lambda) >= (0, 0); each mirror key
-(-n, j, -lambda) receives the conjugate, and a self-mirrored key (n = 0,
-lambda = 0) keeps only its real part. Inputs that are not exactly
-real-symmetric are summed in full. Frequencies are float64 and must stay
+results of this rule, real constants, and sums, truncations and finite real
+multiples of trajectories known to be real, record it without the test), an
+operation computes only the canonical output keys, those with (n, lambda) >=
+(0, 0); each mirror key (-n, j, -lambda) receives the conjugate, and a
+self-mirrored key (n = 0, lambda = 0) keeps only its real part. Inputs that
+are not exactly real-symmetric are summed in full. Frequencies are float64 and must stay
 below 2^53 in modulus, where every integer is exact; a larger one raises
 ``BandCapExceeded`` (defined in ``kernels``, and importable from here).
 """
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -170,8 +171,12 @@ class HarmonicTrajectory:
         return len(self.c)
 
     def constant(self, c: complex) -> "HarmonicTrajectory":
-        """The constant function c (no terms when c == 0)."""
-        return HarmonicTrajectory(self.convention, {(0, 0, 0.0): c})
+        """The constant function c (no terms when c == 0); its one key is its
+        own mirror, so it records that it is real-symmetric iff c == conj(c)."""
+        c = complex(c)
+        out = HarmonicTrajectory(self.convention, {(0, 0, 0.0): c})
+        out._real = c == c.conjugate()
+        return out
 
     def __add__(self, other: "HarmonicTrajectory") -> "HarmonicTrajectory":
         out = HarmonicTrajectory.from_columns(
@@ -184,7 +189,15 @@ class HarmonicTrajectory:
         return self + other.scaled(-1.0)
 
     def scaled(self, alpha: complex) -> "HarmonicTrajectory":
-        return HarmonicTrajectory.from_columns(self.n, self.j, self.lam, alpha * self.c)
+        """alpha times every amplitude. A finite real alpha keeps finite
+        real-symmetric amplitudes real-symmetric: alpha * conj(c) and
+        conj(alpha * c) are equal values, so the result records it."""
+        out = HarmonicTrajectory.from_columns(self.n, self.j, self.lam, alpha * self.c)
+        alpha = complex(alpha)
+        if (self._real and alpha.imag == 0 and math.isfinite(alpha.real)
+                and np.isfinite(self.c).all()):
+            out._real = True
+        return out
 
     def product(self, other: "HarmonicTrajectory", band_cap: int = DEFAULT_BAND_CAP) -> "HarmonicTrajectory":
         """Exact product: every pair of terms, summed by key. Real-symmetric

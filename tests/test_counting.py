@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,15 +228,31 @@ def reference_levels(spec, weights, budget):
     return levels
 
 
+SPARSE_BUILDERS = {name: getattr(counting, name) for name in ("_multiset_top", "_iterated_top")}
+
+
+def recording_builders(monkeypatch):
+    """Patch the two sparse builders to log which one ran, by name; returns the log."""
+    ran = []
+    for name, build in SPARSE_BUILDERS.items():
+        def recording(*args, _name=name, _build=build):
+            ran.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(counting, name, recording)
+    return ran
+
+
 def test_sparse_refusals_match_exact_key_count_rule(monkeypatch):
     # a build refuses exactly when some level L-1 has more keys than a full
     # level-L expansion fits; the early bound may only refuse it one level
-    # sooner, and a build that completes keeps every key and value byte
+    # sooner, and a build that completes keeps every key and value byte,
+    # whichever builder ran: the multiset one for unit weights whose bound
+    # fits, the iterated one for the rest
     budgets = [2**e for e in range(16, 25)]
     rng = np.random.default_rng(18)
     kinds = collections.Counter()
-    for d in (3, 5, 7):
-        for b in range(2, 7):
+    for d in (2, 3, 4, 5, 7):
+        for b in range(1, 7):
             for N in (1, 2, 4, 8, 12):
                 spec = SystemSpec(d, b, N)
                 unit = np.ones(2 * N + 1, dtype=np.int64)
@@ -250,14 +267,24 @@ def test_sparse_refusals_match_exact_key_count_rule(monkeypatch):
                                       if len(levels[L - 2][0]) * (2 * N + 1) * itemsize > budget),
                                      None)
                         rows = recording_sum_by_key(monkeypatch)
+                        ran = recording_builders(monkeypatch)
                         if fails is None:
-                            keys, vals = counting._build_sparse(spec, given, budget)
-                            assert keys.tobytes() == levels[-1][0].tobytes()
-                            assert vals.tobytes() == levels[-1][1].tobytes()
-                            kinds["computed"] += 1
+                            keys, vals = levels[-1]
+                            # odd d: the unmirrored half ends at the centre, the zero tuple
+                            half = (keys <= spec.a_extent * (2 * spec.b_extent + 1) + spec.b_extent
+                                    if given is None and d % 2 and b > 1 else slice(None))
+                            for mirror_top, part in ((True, slice(None)), (False, half)):
+                                got_keys, got_vals = counting._build_sparse(
+                                    spec, given, budget, mirror_top=mirror_top)
+                                assert got_keys.tobytes() == keys[part].tobytes()
+                                assert got_vals.dtype == vals.dtype
+                                assert got_vals.tobytes() == vals[part].tobytes()
+                            assert len(set(ran)) == 1
+                            kinds[ran[0]] += 1
                             continue
                         with pytest.raises(BudgetExceededError) as exc:
                             counting._build_sparse(spec, given, budget)
+                        assert ran == ["_iterated_top"]
                         assert exc.value.suggested_n == max(1, N // 2)
                         assert str(exc.value) == (f"sparse signature expansion for {spec} exceeds "
                                                   f"memory budget; try N <= {max(1, N // 2)}")
@@ -265,7 +292,34 @@ def test_sparse_refusals_match_exact_key_count_rule(monkeypatch):
                         sooner = len(rows) == fails - 2
                         assert sooner or len(rows) == fails - 1, (spec, budget)
                         kinds["early" if sooner else "level check"] += 1
-    assert min(kinds["computed"], kinds["early"], kinds["level check"]) >= 20, kinds
+    assert min(kinds["_multiset_top"], kinds["_iterated_top"], kinds["early"],
+               kinds["level check"]) >= 20, kinds
+    # count_S on the multiset path against the tuple oracle
+    for dbn in ((3, 3, 4), (5, 4, 3), (2, 4, 6), (4, 3, 3), (7, 2, 5)):
+        ran = recording_builders(monkeypatch)
+        assert count_S(SystemSpec(*dbn)) == brute_force_S(*dbn)
+        assert ran == ["_multiset_top"], dbn
+
+
+@pytest.mark.parametrize("dbn, build", [
+    ((3, 4, 32), lambda: count_S(SystemSpec(3, 4, 32), mem_budget=2**28)),
+    ((5, 6, 12), lambda: count_S(SystemSpec(5, 6, 12), mem_budget=2**28)),
+    ((7, 3, 64), lambda: max_offcurve_solution_count(7, 64)),
+], ids=["count_S-d3-b4-N32", "count_S-d5-b6-N12", "offcurve-d7-N64"])
+def test_multiset_builds_stay_within_planned_bytes(monkeypatch, dbn, build):
+    # the largest benchmark builds on the multiset path hold no more than the
+    # planned C(2N+b-1, b-1) (2N+1) pairs of 16 bytes at their peak
+    d, b, N = dbn
+    planned = math.comb(2 * N + b - 1, b - 1) * (2 * N + 1) * 16
+    ran = recording_builders(monkeypatch)
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ran == ["_multiset_top"]
+    assert peak <= planned, (peak, planned)
 
 
 def test_benchmark_refusals_stay_small(monkeypatch):
@@ -693,6 +747,15 @@ def test_block_ratio_positive_and_finite():
             n = int(rng.integers(1, Q**3))
             r = ramanujan_block_ratio(Q, n)
             assert 0.0 <= r < math.inf
+
+
+def test_block_ratio_needs_q_at_least_two():
+    # below Q = 2 no divisor q < Q exists to divide by: a typed error, not ZeroDivisionError
+    for Q in (1, 0, -3):
+        with pytest.raises(ValueError, match="Q >= 2"):
+            ramanujan_block_ratio(Q, 6)
+    # Q = 2: (|c_2(6)| + |c_3(6)|) / (d(6, 2) 2^{1+eps}) = (1 + 2) / 2^{1+eps}
+    assert ramanujan_block_ratio(2, 6) == 3 / 2 ** (1.0 + counting.BLOCK_RATIO_EPS)
 
 
 def test_table_csv_export(tmp_path):

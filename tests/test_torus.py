@@ -231,6 +231,36 @@ def test_real_flag_agrees_with_the_full_test():
         assert (u + v)._real and (u + v).truncated(2)[0]._real
 
 
+def test_scaled_and_constant_record_the_full_test_answer():
+    # scaled() by a finite real alpha and constant() record the flag without
+    # the lexsort test; where they record it, it is that test's answer, on
+    # symmetric inputs, non-symmetric ones and non-finite amplitudes
+    rng = np.random.default_rng(24)
+    odd = HarmonicTrajectory(TWO_PI, {(2, 0, 13.0): complex(0.6, -0.8)})
+    infinite = HarmonicTrajectory(TWO_PI, {(0, 0, 0.0): math.inf, (1, 0, 2.0): 1 + 1j,
+                                           (-1, 0, -2.0): 1 - 1j})
+    recorded = 0
+    for _ in range(12):
+        u = random_real_trajectory(rng)
+        x = float(rng.standard_normal())
+        real = (0.5, -math.tau, x, 0.0, 2, 5e-324, 1e308, complex(x, 0.0), complex(x, -0.0))
+        for v in (u, u + odd, u.product(odd), infinite):
+            v.is_real_symmetric()  # known, as inside a Picard step
+            for alpha in real + (complex(x, 1e-300), 1j, math.inf, math.nan):
+                with np.errstate(over="ignore", invalid="ignore"):  # inf and nan cases
+                    got = v.scaled(alpha)
+                fresh = HarmonicTrajectory.from_columns(*got.columns).is_real_symmetric()
+                assert got._real is (True if v is u and alpha in real else None), alpha
+                if got._real:
+                    assert fresh, alpha
+                    recorded += 1
+        for c in (x, 0.0, -0.0, complex(x, 0.0), complex(x, -0.0), complex(x, x), 1e-300j,
+                  math.inf, math.nan, complex(math.inf, 1.0)):
+            got = u.constant(c)
+            assert got._real == HarmonicTrajectory.from_columns(*got.columns).is_real_symmetric()
+    assert recorded == 12 * 9
+
+
 def test_real_product_matches_brute_force():
     rng = np.random.default_rng(8)
     for _ in range(10):
