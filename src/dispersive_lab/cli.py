@@ -179,6 +179,10 @@ def _run_weyl(cfg, out, telemetry):
     if cfg["arcs"] == 1:
         raise ConfigError("arcs must be 0 (no dump) or >= 2, got 1")
     d = cfg["d"]
+    for N in cfg["N"]:
+        if not weyl.minor_arc_moduli(N, d):
+            raise ConfigError(f"no primes above N^(d-1) = {N ** (d - 1)} within the sieve "
+                              f"(N={N}, d={d})")
     rows = []
     for N in cfg["N"]:
         pts = weyl.minor_arc_points(N, d, cfg["count"], seed=cfg["seed"] + N)
@@ -201,6 +205,10 @@ def _run_weyl(cfg, out, telemetry):
 
 def _run_kernel(cfg, out, telemetry):
     d = cfg["d"]
+    for N in cfg["N"]:
+        if 5 * N ** (d - 1) > counting.DEFAULT_SIEVE_LIMIT:
+            raise ConfigError(f"moduli up to 5 N^(d-1) = {5 * N ** (d - 1)} (N={N}, d={d}) "
+                              f"exceed the sieve limit {counting.DEFAULT_SIEVE_LIMIT}")
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     zero_worst = 0.0
@@ -231,6 +239,8 @@ def _run_kernel(cfg, out, telemetry):
 
 
 def _run_illposed(cfg, out, telemetry):
+    if len(set(cfg["N"])) < 2:
+        raise ConfigError(f"the slope fit needs at least two distinct N, got {cfg['N']}")
     if cfg["case"] == "p1":
         spec = kdv.u_squared_p1()
         target = 1.0 - 2.0 * cfg["s"]
@@ -246,16 +256,13 @@ def _run_illposed(cfg, out, telemetry):
         json.dump({"slope": scan.slope, "target": target,
                    "secular_visible": scan.secular_visible,
                    "warning": scan.warning}, fh, indent=1)
-    files = ["illposed.csv", "slope.json"]
-    if len(scan.N_list) >= 2:
-        write_loglog_svg(
-            os.path.join(out, "illposed.svg"),
-            [{"label": f"{cfg['case']} s={cfg['s']}", "x": scan.N_list,
-              "y": scan.responses, "slope": scan.slope}],
-            title="first-iterate nonlinear response", xlabel="N",
-            ylabel="H^s response")
-        files.append("illposed.svg")
-    return files
+    write_loglog_svg(
+        os.path.join(out, "illposed.svg"),
+        [{"label": f"{cfg['case']} s={cfg['s']}", "x": scan.N_list,
+          "y": scan.responses, "slope": scan.slope}],
+        title="first-iterate nonlinear response", xlabel="N",
+        ylabel="H^s response")
+    return ["illposed.csv", "slope.json", "illposed.svg"]
 
 
 def _phi_from_cfg(cfg) -> FourierSeries:

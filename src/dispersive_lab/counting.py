@@ -444,10 +444,15 @@ def enumerate_triples(d: int, N: int, A: int, B: int):
     """All (n1, n2, n3) in [-N, N]^3 with n1+n2+n3 = A and n1^d+n2^d+n3^d = B.
 
     Joins the (n1, n2) pair grid with the forced third variable, so the cost
-    is O(N^2) rather than O(N^3).
+    is O(N^2) rather than O(N^3). Raises Int64OverflowError when the power
+    sums, up to 3 N^d, would not fit in int64.
     """
     if d % 2 == 0:
         raise ValueError("triple enumeration is defined for odd d")
+    if 3 * N**d > INT64_MAX:
+        raise Int64OverflowError(
+            f"enumerate_triples(d={d}, N={N}) sums powers up to {3 * N**d:.3e}, "
+            f"beyond int64 ({INT64_MAX:.3e})")
     rng = np.arange(-N, N + 1, dtype=np.int64)
     n1, n2 = np.meshgrid(rng, rng, indexing="ij")
     n3 = A - n1 - n2

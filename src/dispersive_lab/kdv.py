@@ -24,7 +24,6 @@ from .norms import MAX_EXACT_MODE, dispersion, h_s_norm
 from .torus import DEFAULT_BAND_CAP, FourierSeries, HarmonicTrajectory, TorusConvention
 
 TWO_PI = 2.0 * math.pi
-RESONANCE_TOL = 1e-9
 TERM_CAP = 2500  # exact Picard iterates hold at most this many terms
 WORK_CAP = 5e6  # and predict at most this much spectral-product work
 CONTRACTION_RATIO = 0.5  # contraction_achieved: the largest accepted diff-norm ratio
@@ -117,11 +116,11 @@ def duhamel(w: HarmonicTrajectory, horizon: float = 1.0) -> HarmonicTrajectory:
     """-int_0^t e^{-(t-tau) d_x^5} w(tau) d tau, exactly, as a harmonic sum.
 
     Term c t^j e^{i lam t} of mode n gives -c e^{-i n^5 t} I_j(t), where
-    I_j(t) = int_0^t tau^j e^{i mu tau} d tau and mu = lam + n^5. Resonant
-    terms (mu = 0) pick up the secular factor t^{j+1}/(j+1); ``horizon``
-    only tunes the series truncation for near-resonant frequencies. A
-    real-symmetric forcing gives an exactly real-symmetric output (the
-    canonical-key rule of ``torus``).
+    I_j(t) = int_0^t tau^j e^{i mu tau} d tau and mu = lam + n^5, an
+    integer. Terms with |mu| horizon < 1e-6 take the series, which gives
+    resonant ones (mu = 0) the secular factor t^{j+1}/(j+1); ``horizon``
+    must be positive and finite (``ValueError``). A real-symmetric forcing
+    gives an exactly real-symmetric output (the canonical-key rule of ``torus``).
 
     All terms are evaluated at once, on columns: ``_closed_slots`` for the
     closed form, ``_series_slots`` near resonance. Complex products and
@@ -131,14 +130,15 @@ def duhamel(w: HarmonicTrajectory, horizon: float = 1.0) -> HarmonicTrajectory:
     are laid out term by term, so equal keys (every non-resonant term of
     mode n adds to (n, 0, -n^5)) are summed in a fixed order.
     """
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     real = w.is_real_symmetric()
     n, j, lam, c = (col[w.n >= 0] for col in w.columns) if real else w.columns
     if not len(n):
         return HarmonicTrajectory(w.convention, {})
     disp = dispersion(n)  # raises past MAX_EXACT_MODE
     mu = lam + disp
-    size = np.abs(mu)
-    near = (size * horizon < 1e-6) | (size < RESONANCE_TOL)
+    near = np.abs(mu) * horizon < 1e-6
     count = j + 2  # slots per term: t^j, ..., t^0 at mu, then the constant
     slots = []  # (terms, slot, re, im)
     if near.any():
@@ -160,7 +160,7 @@ def duhamel(w: HarmonicTrajectory, horizon: float = 1.0) -> HarmonicTrajectory:
     slot = np.arange(len(at)) - start.repeat(count)
     j, near = j.repeat(count), near.repeat(count)
     p = np.where(near, j + slot + 1, np.maximum(j - slot, 0))
-    freq = np.where(near | (slot > j), 0.0, mu.repeat(count))
+    freq = np.where(near | (slot > j), 0, mu.repeat(count))
     cr, ci = (-c.real).repeat(count), (-c.imag).repeat(count)  # -c * val
     out = np.empty(len(at), dtype=np.complex128)
     out.real = cr * re - ci * im
@@ -227,9 +227,8 @@ def _series_slots(terms, j, mu, horizon: float) -> list:
 def first_iterate(phi: FourierSeries, spec: NonlinearitySpec) -> HarmonicTrajectory:
     """Linear flow plus Duhamel of the nonlinearity of the free evolution.
 
-    Every frequency of the forcing is an integer (flow keys -n^5 and their
-    sums), so mu = lambda + n^5 is 0 or at least 1 in modulus, and every
-    Duhamel horizon >= 1 integrates it the same way.
+    Every frequency is an integer, so mu = lambda + n^5 is 0 or at least 1
+    in modulus, and every Duhamel horizon >= 1 integrates it the same way.
     """
     u0 = flow_trajectory(phi)
     return u0 + duhamel(nonlinear_term(u0, spec))
@@ -264,9 +263,11 @@ def illposedness_scan(spec: NonlinearitySpec, s: float, eps: float, t: float,
     exponent. The full H^s norm of u1 is also recorded; when the secular
     term is below the linear part everywhere (t not large against the
     N^{2s-1}-type threshold), a warning marks that the full norm would not
-    show the growth.
+    show the growth. Fewer than two distinct N fit no line: ``ValueError``.
     """
     N_list = list(N_list)
+    if len(set(N_list)) < 2:
+        raise ValueError(f"a slope needs at least two distinct N, got {N_list}")
     responses, fulls, ratios = [], [], []
     for N in N_list:
         phi = two_mode_data(N, s, eps)

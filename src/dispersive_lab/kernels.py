@@ -16,8 +16,9 @@ A float t needs n^d exact in float64, so a band with N^d >= 2^53 raises
 cycles per mode. A ``Fraction`` t = a/q is reduced exactly, as
 (a n^d mod q)/q in Python integers, at any n.
 
-``sum_by_key`` sums the values of equal keys in input order. Integer-valued
-key columns (signed integers, or float64 integers below 2^53) whose spans,
+``sum_by_key`` sums the values of equal keys in input order. Its key
+columns are signed integers (a float column raises ``TypeError``): signature
+keys, trajectory modes, powers and frequencies. Columns whose spans,
 multiplied, fit beside the row index in 62 bits are sorted as unique packed
 (key digits, row) int64 words by ``ndarray.sort``, which gives the stable
 order: one column from ``_PACK_ROWS`` rows, several from ``_PACK_ROWS_MULTI``.
@@ -218,10 +219,10 @@ def sum_by_key(key_columns, vals):
     """Merge rows with equal keys: (sorted unique key columns, summed values).
 
     Rows are sorted lexicographically, first column first, and equal keys are
-    summed in input order. Keys compare by value, so float keys -0.0 and 0.0
-    merge; every key is returned with +0.0.
+    summed in input order. Every key column must hold signed integers; any
+    other dtype raises ``TypeError``.
 
-    Integer-valued key columns whose spans fit (``_packing``) are sorted as
+    Key columns whose spans fit (``_packing``) are sorted as
     packed int64 words: the columns' digits in mixed radix, first column most
     significant, shifted above the row index and sorted in place by
     ``ndarray.sort``. The words are unique, so their order is the stable
@@ -231,6 +232,9 @@ def sum_by_key(key_columns, vals):
     every digit is a nonnegative int64 below its span, so no word wraps.
     Other inputs take a stable ``np.lexsort``; both give the same bytes.
     """
+    if any(col.dtype.kind != "i" for col in key_columns):
+        raise TypeError("sum_by_key takes signed integer key columns, got "
+                        f"{[col.dtype.name for col in key_columns]}")
     pack = _packing(key_columns)
     if pack:
         (digits, bits), dtypes = pack, [col.dtype for col in key_columns]
@@ -270,16 +274,14 @@ def sum_by_key(key_columns, vals):
     for col in keys:
         new[1:] |= col[1:] != col[:-1]
     starts = new.nonzero()[0]
-    return ([col[starts] + 0 if col.dtype.kind == "f" else col[starts] for col in keys],
-            np.add.reduceat(vals, starts))
+    return [col[starts] for col in keys], np.add.reduceat(vals, starts)
 
 
 def _packing(key_columns):
-    """(digits, bits) that pack the key columns with the row index into int64
-    words, or None; bits = bit_length(rows - 1).
+    """(digits, bits) that pack the integer key columns with the row index
+    into int64 words, or None; bits = bit_length(rows - 1).
 
-    ``digits`` holds (values, lo, span) per column: every column must hold
-    only integers (``_integer_values``), and the product of the spans
+    ``digits`` holds (values, lo, span) per column: the product of the spans
     hi - lo + 1 must fit below 2^(62 - bits). One column needs at least
     ``_PACK_ROWS`` rows, several ``_PACK_ROWS_MULTI``. The first column is
     the most significant digit, so its span is None (never divided out); a
@@ -292,29 +294,11 @@ def _packing(key_columns):
     room = 62 - bits  # key bits a word holds above the row bits
     digits, total = [], 1
     for col in key_columns:
-        found = _integer_values(col)
-        if found is None:
-            return None
-        values, lo, hi = found
+        lo, hi = int(col.min()), int(col.max())
         total *= hi - lo + 1
         if (total - 1) >> room:
             return None
-        digits.append((values, lo, hi - lo + 1 if digits else None))
+        digits.append((col, lo, hi - lo + 1 if digits else None))
     if len(digits) == 1 and lo >= 0 and hi >> room == 0:
-        digits = [(values, 0, None)]
+        digits = [(col, 0, None)]
     return digits, bits
-
-
-def _integer_values(col):
-    """(values, lo, hi): a signed integer column as it is, or a float64 column
-    that holds only integers below 2^53 in modulus as int64; None for any
-    other column, and for NaN, inf or a non-integer."""
-    if col.dtype.kind == "i":
-        return col, int(col.min()), int(col.max())
-    if col.dtype == np.float64:
-        lo, hi = col.min(), col.max()
-        if -EXACT_LIMIT < lo and hi < EXACT_LIMIT:  # false for NaN and inf
-            values = col.astype(np.int64)
-            if np.array_equal(values, col):
-                return values, int(lo), int(hi)
-    return None

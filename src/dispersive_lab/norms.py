@@ -89,8 +89,9 @@ MAX_EXACT_MODE = 1552  # 1552^5 < 2^53 <= 1553^5
 def dispersion(n):
     """n^5, the frequency of mode n under e^{-t d_x^5} (the curve is lambda = -n^5).
 
-    Takes an int or an integer array. Past MAX_EXACT_MODE float64 would
-    round n^5, so any |n| > MAX_EXACT_MODE raises ``BandCapExceeded``.
+    An int for an int, an int64 array for an integer array. Past
+    MAX_EXACT_MODE n^5 reaches 2^53, where float64 would round it, so any
+    |n| > MAX_EXACT_MODE raises ``BandCapExceeded``.
     """
     array = isinstance(n, np.ndarray)
     top = int(np.abs(n).max(initial=0)) if array else abs(n)
@@ -98,7 +99,7 @@ def dispersion(n):
         raise BandCapExceeded(
             f"mode |n| = {top}: n^5 is not below 2^53, "
             "where float64 stops holding integers exactly")
-    return n.astype(float) ** 5 if array else float(n) ** 5
+    return n.astype(np.int64) ** 5 if array else int(n) ** 5
 
 
 class QuadratureNotConverged(RuntimeError):

@@ -15,9 +15,9 @@ trajectory holds its terms as four columns (n, j, lambda, c) sorted by the
 key (n, j, lambda). Every operation builds its output rows as columns and
 hands them to the one sort-and-sum reducer, ``kernels.sum_by_key``, which
 merges equal keys in a fixed order: a result does not depend on the order
-in which its inputs were built. The frequencies the library builds are
-integers, so from ``kernels._PACK_ROWS_MULTI`` rows up the three key columns
-usually sort as one packed int64 word per row. ``coefficients`` evaluates a
+in which its inputs were built. The key columns are int64, so from
+``kernels._PACK_ROWS_MULTI`` rows up they usually sort as one packed int64
+word per row. ``coefficients`` evaluates a
 trajectory on a time grid with one exp(i lambda t) row per distinct lambda
 and one t^j row per power, gathered for each block of terms.
 
@@ -28,9 +28,12 @@ multiples of trajectories known to be real, record it without the test), an
 operation computes only the canonical output keys, those with (n, lambda) >=
 (0, 0); each mirror key (-n, j, -lambda) receives the conjugate, and a
 self-mirrored key (n = 0, lambda = 0) keeps only its real part. Inputs that
-are not exactly real-symmetric are summed in full. Frequencies are float64 and must stay
-below 2^53 in modulus, where every integer is exact; a larger one raises
-``BandCapExceeded`` (defined in ``kernels``, and importable from here).
+are not exactly real-symmetric are summed in full. On the circle every
+frequency is an integer, so lambda is int64; one given as a float such as
+13.0 is taken as its integer, and a non-integer raises ``ValueError``. A
+kept frequency must stay below 2^53 in modulus, where float64 holds it, or
+``BandCapExceeded`` (defined in ``kernels``, and importable from here) is
+raised; two such frequencies add without wrapping int64.
 """
 
 from __future__ import annotations
@@ -90,17 +93,29 @@ class FourierSeries:
         return HarmonicTrajectory.from_series(self).is_real_symmetric()
 
 
+def _frequencies(lam) -> np.ndarray:
+    """The frequency column as int64: any other dtype is checked and converted."""
+    lam = np.asarray(lam)
+    if lam.dtype == np.int64:
+        return lam
+    lam = lam.astype(np.float64)
+    integer = np.isfinite(lam) & (lam == np.trunc(lam))
+    if not integer.all():
+        raise ValueError(f"frequency {lam[~integer][0]:.17g} is not an integer")
+    if (np.abs(lam) >= EXACT_LIMIT).any():
+        raise BandCapExceeded(f"frequency {np.abs(lam).max():.17g} in modulus is not below "
+                              "2^53, where float64 stops holding integers exactly")
+    return lam.astype(np.int64)
+
+
 class HarmonicTrajectory:
     """Finite sum of terms c * e^{i n x} * t^j * e^{i lambda t}.
 
-    Terms are four columns ``n``, ``j`` (int64), ``lam`` (float64) and ``c``
+    Terms are four columns ``n``, ``j``, ``lam`` (int64) and ``c``
     (complex128), sorted by the key (n, j, lambda), with equal keys merged by
     ``sum_by_key`` and zero amplitudes dropped; j > 0 only arises from
-    resonant Duhamel integration. A term with |lambda| >= 2^53 raises
-    ``BandCapExceeded``: below that bound every integer is a float64, and
-    since rounding is monotone an integer combination of exact frequencies
-    (a flow, product or Duhamel key) that passes it cannot round back below
-    it. Dispersion frequencies n^5 are exact for |n| <= 1552.
+    resonant Duhamel integration. Frequencies are checked as the module
+    docstring says; n^5 stays below 2^53 for |n| <= 1552.
     """
 
     convention = TorusConvention.TWO_PI
@@ -123,12 +138,12 @@ class HarmonicTrajectory:
 
     def _assign(self, n, j, lam, c, real=False):
         n, j = np.asarray(n, dtype=np.int64), np.asarray(j, dtype=np.int64)
-        lam, c = np.asarray(lam, dtype=float), np.asarray(c, dtype=complex)
+        lam, c = _frequencies(lam), np.asarray(c, dtype=complex)
         if real:
-            canonical = (n > 0) | ((n == 0) & (lam >= 0.0))
+            canonical = (n > 0) | ((n == 0) & (lam >= 0))
             (n, j, lam), c = sum_by_key((n[canonical], j[canonical], lam[canonical]),
                                         c[canonical])
-            mirrored = (n != 0) | (lam != 0.0)  # a self-mirrored key keeps its real part
+            mirrored = (n != 0) | (lam != 0)  # a self-mirrored key keeps its real part
             c = np.where(mirrored, c, c.real)
             n, j, lam, c = (np.concatenate((col, other[mirrored])) for col, other in
                             ((n, -n), (j, j), (lam, -lam), (c, np.conj(c))))
@@ -139,7 +154,7 @@ class HarmonicTrajectory:
             big = (big & kept).nonzero()[0]
             if len(big):
                 raise BandCapExceeded(
-                    f"frequency {lam[big[0]]:.17g} of mode {n[big[0]]} is not below 2^53, "
+                    f"frequency {lam[big[0]]} of mode {n[big[0]]} is not below 2^53, "
                     "where float64 stops holding integers exactly")
         if not kept.all():
             n, j, lam, c = n[kept], j[kept], lam[kept], c[kept]
@@ -148,7 +163,7 @@ class HarmonicTrajectory:
 
     @staticmethod
     def from_series(f: FourierSeries) -> "HarmonicTrajectory":
-        return HarmonicTrajectory(f.convention, {(n, 0, 0.0): c for n, c in f.coeff.items()})
+        return HarmonicTrajectory(f.convention, {(n, 0, 0): c for n, c in f.coeff.items()})
 
     @property
     def columns(self) -> tuple:
@@ -174,7 +189,7 @@ class HarmonicTrajectory:
         """The constant function c (no terms when c == 0); its one key is its
         own mirror, so it records that it is real-symmetric iff c == conj(c)."""
         c = complex(c)
-        out = HarmonicTrajectory(self.convention, {(0, 0, 0.0): c})
+        out = HarmonicTrajectory(self.convention, {(0, 0, 0): c})
         out._real = c == c.conjugate()
         return out
 
@@ -293,7 +308,7 @@ class HarmonicTrajectory:
 
     def to_json(self) -> str:
         records = [
-            {"n": n, "j": j, "lam": lam, "re": c.real, "im": c.imag}
+            {"n": n, "j": j, "lam": float(lam), "re": c.real, "im": c.imag}
             for n, j, lam, c in self.rows()
         ]
         return json.dumps({"convention": self.convention.value, "terms": records})

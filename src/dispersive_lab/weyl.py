@@ -458,16 +458,22 @@ def primes_in(lo: int, hi: int):
     return (lo + np.flatnonzero(spf[lo:hi + 1] == np.arange(lo, hi + 1))).tolist()
 
 
+def minor_arc_moduli(N: int, d: int) -> list:
+    """The primes q in [N^{d-1}, min(2 N^{d-1} + 1000, 10^6)]: the moduli of
+    ``minor_arc_points``, empty once N^{d-1} passes the sieve's last prime."""
+    q_lo = N ** (d - 1)
+    return primes_in(q_lo, min(2 * q_lo + 1000, 10**6))
+
+
 def minor_arc_points(N: int, d: int, count: int, seed: int = 0):
     """Points t = a/q + 1/(3q^2) with q prime in [N^{d-1}, ...], a coprime.
 
     The construction guarantees the rational-approximation hypothesis
     |t - a/q| <= 1/q^2 with q >= N^{d-1} by design.
     """
-    q_lo = N ** (d - 1)
-    ps = primes_in(q_lo, min(2 * q_lo + 1000, 10**6))
+    ps = minor_arc_moduli(N, d)
     if not ps:
-        raise ValueError(f"no primes available above N^(d-1) = {q_lo} within the sieve")
+        raise ValueError(f"no primes available above N^(d-1) = {N ** (d - 1)} within the sieve")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

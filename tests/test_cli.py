@@ -127,6 +127,17 @@ BAD_CONFIGS = [
     ("solve", ["amp=nan"], "amp"),
     ("gauge-check", ["s=nan"], "s"),
     ("illposed", ["s=-inf"], "s"),
+    # a slope needs two distinct N
+    ("illposed", ["N=16"], "distinct"),
+    ("illposed", ["N=1"], "distinct"),
+    ("illposed", ["N=8,8"], "distinct"),
+    # moduli up to 5 N^(d-1) = 5,242,880 are past the 10^6 sieve
+    ("kernel", ["d=5", "N=32"], "sieve"),
+    ("kernel", ["N=16,1000"], "sieve"),
+    # no primes in the sieve above N^(d-1)
+    ("weyl", ["d=3", "N=2000"], "primes"),
+    ("weyl", ["d=4", "N=101"], "primes"),
+    ("weyl", ["N=64,1000"], "primes"),
 ]
 
 

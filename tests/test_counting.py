@@ -499,6 +499,22 @@ def test_triples_require_odd_d():
         enumerate_triples(4, 3, 0, 0)
 
 
+def test_enumerate_triples_refuses_int64_wrap():
+    # (200, -199, 2) has B = 200^9 - 199^9 + 2^9 > 2^63: summed in int64 it
+    # would wrap, missing the true B and finding six "solutions" at B - 2^64
+    B = 200**9 - 199**9 + 2**9
+    assert B > counting.INT64_MAX
+    for b in (B, B - 2**64):
+        with pytest.raises(Int64OverflowError, match="d=9, N=200"):
+            enumerate_triples(9, 200, 3, b)
+    # the largest N whose 3 N^9 fits still enumerates, with exact sums
+    N = max(n for n in range(1, 200) if 3 * n**9 <= counting.INT64_MAX)
+    B = N**9 - (N - 1) ** 9 + 1
+    assert (N, -(N - 1), 1) in enumerate_triples(9, N, 2, B)
+    with pytest.raises(Int64OverflowError):
+        enumerate_triples(9, N + 1, 2, B)
+
+
 def test_divisor_property_example():
     assert check_divisor_property((1, 2, 3), 5)
     assert check_divisor_property((2, -2, 0), 7)

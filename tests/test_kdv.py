@@ -24,7 +24,7 @@ from dispersive_lab.kdv import (
     u_p2,
     u_squared_p1,
 )
-from dispersive_lab.kdv import RESONANCE_TOL, _cumulative_simpson
+from dispersive_lab.kdv import _cumulative_simpson
 from dispersive_lab.norms import dispersion, h_s_norm
 from dispersive_lab.torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
 
@@ -198,15 +198,32 @@ def test_duhamel_nonresonant_formula():
 
 
 def test_duhamel_near_resonant_series():
-    # |mu| below the resonance tolerance goes through the series expansion
-    mu = 1e-12
-    w = HarmonicTrajectory(TP, {(1, 0, -1.0 + mu): 1.0})
-    out = duhamel(w, horizon=1.0)
-    t = 0.5
+    # an integer mu != 0 with |mu| horizon < 1e-6 goes through the series expansion
+    mu, horizon = 3, 1e-7
+    w = HarmonicTrajectory(TP, {(1, 0, -1 + mu): 1.0})
+    out = duhamel(w, horizon=horizon)
+    assert all(freq == -1 for _, _, freq in out.terms)  # series terms: t^p e^{-i t}
+    t = 0.5 * horizon
     val = sum(c * t**j * cmath.exp(1j * freq * t)
               for (nn, j, freq), c in out.terms.items())
-    want = -t * cmath.exp(-1j * t) * (1 + 1j * mu * t / 2)  # series to first order
-    assert val == pytest.approx(want, rel=1e-10)
+    # -e^{-i t} (e^{i mu t} - 1)/(i mu), the closed form, well conditioned in this check
+    want = -cmath.exp(-1j * t) * (cmath.exp(1j * mu * t) - 1) / (1j * mu)
+    assert val == pytest.approx(want, rel=1e-12)
+
+
+def test_duhamel_refuses_a_horizon_that_is_not_positive_and_finite():
+    # the horizon decides which terms take the series; at t = 0 or below every
+    # term would, and at t = 1 the series would be far off the closed form
+    w = HarmonicTrajectory(TP, {(1, 0, 40): 1.0})
+    for horizon in (0.0, -0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            duhamel(w, horizon=horizon)
+    t = 1.0
+    got = duhamel(w, horizon=t).at_time(t)[1]
+    mu = 40 + 1
+    want = -cmath.exp(-1j * t) * (cmath.exp(1j * mu * t) - 1) / (1j * mu)
+    assert got == pytest.approx(want, rel=1e-14)
+    assert abs(got - (-0.0387 - 0.0294j)) < 1e-4
 
 
 def test_duhamel_real_forcing_matches_termwise_sum():
@@ -237,19 +254,19 @@ def _poly_exp_antiderivative(j, mu, horizon):
     """int_0^t tau^j e^{i mu tau} d tau as {(power, freq): coeff}, one term at a
     time in Python complex arithmetic: the scalar recursion that ``duhamel``
     evaluates on columns."""
-    if abs(mu) * horizon < 1e-6 or abs(mu) < RESONANCE_TOL:
+    if abs(mu) * horizon < 1e-6:
         out = {}
         coef = 1.0 + 0j
         for p in range(41):
             val = coef / (j + p + 1)
-            out[(j + p + 1, 0.0)] = val
+            out[(j + p + 1, 0)] = val
             if abs(val) * horizon ** (j + p + 1) < 1e-18 * max(horizon**j, 1e-30) and p >= 2:
                 break
             coef *= 1j * mu / (p + 1)
         return out
     # recursion I_j = (t^j e^{i mu t} - j I_{j-1}) / (i mu)
     inv = 1.0 / (1j * mu)
-    cur = {(0, mu): inv, (0, 0.0): -inv}
+    cur = {(0, mu): inv, (0, 0): -inv}
     for jj in range(1, j + 1):
         cur = {(jj, mu): inv, **{key: -jj * inv * c for key, c in cur.items()}}
     return cur
@@ -271,19 +288,19 @@ def scalar_duhamel(w, horizon=1.0):
 
 def random_forcing(rng, real):
     """Terms on modes -6..6 with j up to 3: exactly resonant, near-resonant
-    (series), integer, half-integer and non-integer frequencies, and some
-    purely real or purely imaginary amplitudes; conjugate mirrors if ``real``."""
+    (mu of a few units, a series at small horizons) and farther integer
+    frequencies, and some purely real or purely imaginary amplitudes;
+    conjugate mirrors if ``real``."""
     terms = {}
     for _ in range(int(rng.integers(1, 40))):
         n, j = int(rng.integers(0 if real else -6, 7)), int(rng.integers(0, 4))
         kind = int(rng.integers(0, 5))
-        lam = -float(n) ** 5 + (
-            0.0, float(rng.choice([1e-12, -3e-10, 2e-7, -5e-8])),
-            float(rng.integers(-20000, 20000)) + 0.5 * int(rng.integers(0, 2)),
-            float(rng.standard_normal() * 1e3), float(rng.integers(-50, 50)))[kind]
+        lam = -n**5 + (
+            0, int(rng.choice([1, -3, 2, -5])), int(rng.integers(-20000, 20000)),
+            round(rng.standard_normal() * 1e3), int(rng.integers(-50, 50)))[kind]
         c = complex(*rng.standard_normal(2))
         c = (c, complex(c.real, 0.0), complex(0.0, c.imag))[int(rng.integers(0, 3))]
-        if real and n == 0 and lam == 0.0:
+        if real and n == 0 and lam == 0:
             c = complex(c.real, 0.0)
         terms[(n, j, lam)] = c
         if real:
@@ -294,17 +311,20 @@ def random_forcing(rng, real):
 def test_duhamel_columns_match_scalar_recursion_bytes():
     rng = np.random.default_rng(3)
     slots = set()
+    near = 0  # terms with mu != 0 that take the series
     for trial in range(300):
         w = random_forcing(rng, real=trial % 2 == 0)
         assert w.is_real_symmetric() == (trial % 2 == 0)
-        for horizon in (1.0, 2e-3, 1e7, 3):
+        for horizon in (1.0, 2e-3, 1e7, 3, 1e-7):
             want, got = scalar_duhamel(w, horizon), duhamel(w, horizon)
             for a, b in zip(want.columns, got.columns):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert got.is_real_symmetric() == want.is_real_symmetric()
-            for j, lam in zip(w.j.tolist(), (w.lam + dispersion(w.n)).tolist()):
-                slots.add(len(_poly_exp_antiderivative(j, lam, horizon)))
-    assert {2, 3, 4, 5} <= slots and max(slots) > 6  # closed forms j = 0..3, longer series
+            for j, mu in zip(w.j.tolist(), (w.lam + dispersion(w.n)).tolist()):
+                slots.add(len(_poly_exp_antiderivative(j, mu, horizon)))
+                near += mu != 0 and abs(mu) * horizon < 1e-6
+    # closed forms j = 0..3, and series on integer mu != 0 (|mu| horizon < 1e-6)
+    assert {2, 3, 4, 5} <= slots and near > 1000, near
     assert duhamel(HarmonicTrajectory(TP, {})).term_count() == 0
 
 
@@ -375,6 +395,13 @@ def test_illposedness_slopes():
     assert scan.slope == pytest.approx(1.0 - 2 * 0.3, abs=0.05)
     scan2 = illposedness_scan(u_p2(), 0.7, 1.0, 0.01, [16, 32, 64])
     assert scan2.slope == pytest.approx(2.0 - 2 * 0.7, abs=0.05)
+
+
+def test_illposedness_scan_needs_two_distinct_n():
+    # one N (or one N repeated) fits no line: refused, not a degenerate slope
+    for N_list in ([16], [1], [16, 16], []):
+        with pytest.raises(ValueError, match="two distinct N"):
+            illposedness_scan(u_squared_p1(), 0.3, 1.0, 0.01, N_list)
 
 
 def test_illposedness_linear_regime_flat():
@@ -530,12 +557,15 @@ def test_picard_bytes_pinned(band_cap, exact_digest, states_digest):
                           time_samples=257)
     exact = [st.trajectory for st in states if st.representation == "exact"]
     assert len(exact) == 4
-    digest = hashlib.sha256(b"".join(col.tobytes() for u in exact for col in u.columns))
+    def float_lam(u):  # the columns with lam as float64, as the digests were taken
+        return u.n, u.j, u.lam.astype(np.float64), u.c
+
+    digest = hashlib.sha256(b"".join(col.tobytes() for u in exact for col in float_lam(u)))
     assert digest.hexdigest() == exact_digest
     digest = hashlib.sha256()
     for st in states:
         u = st.trajectory
-        for col in (u.columns if isinstance(u, HarmonicTrajectory) else (u.coeffs,)):
+        for col in (float_lam(u) if isinstance(u, HarmonicTrajectory) else (u.coeffs,)):
             digest.update(np.ascontiguousarray(col).tobytes())
         digest.update(repr((st.diff_norm, st.truncated_mass, st.term_count)).encode())
     assert digest.hexdigest() == states_digest

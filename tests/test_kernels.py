@@ -137,16 +137,14 @@ def test_sum_by_key_matches_dict_accumulation():
     rng = np.random.default_rng(5)
     n = rng.integers(-3, 4, 400)
     j = rng.integers(0, 2, 400)
-    lam = rng.integers(-4, 5, 400).astype(float)
-    lam[rng.random(400) < 0.5] *= -1.0  # the zero frequency appears as both -0.0 and 0.0
-    assert np.any(np.signbit(lam) & (lam == 0.0))
+    lam = rng.integers(-4, 5, 400)
     vals = rng.standard_normal(400) + 1j * rng.standard_normal(400)
     for cols in ((n,), (n, j, lam)):
         keys, sums = kernels.sum_by_key(cols, vals)
         rows = list(zip(*(c.tolist() for c in keys)))
         want = _dict_sums(zip(*(c.tolist() for c in cols)), vals.tolist())
         assert rows == sorted(want)  # unique, in lexicographic order
-        assert not np.any(np.signbit(keys[-1]) & (keys[-1] == 0.0))
+        assert all(c.dtype == np.int64 for c in keys)
         for row, s in zip(rows, sums):
             assert abs(s - want[row]) <= 1e-12
 
@@ -155,9 +153,21 @@ def test_sum_by_key_exact_integers_and_empty():
     keys = np.array([7, -2, 7, 7, -2, 0], dtype=np.int64)
     (uniq,), sums = kernels.sum_by_key((keys,), np.array([1, 2, 3, 4, 5, 6], dtype=np.int64))
     assert uniq.tolist() == [-2, 0, 7] and sums.tolist() == [7, 6, 8]
-    (uniq, lam), sums = kernels.sum_by_key((np.zeros(0, np.int64), np.zeros(0)),
+    (uniq, lam), sums = kernels.sum_by_key((np.zeros(0, np.int64), np.zeros(0, np.int64)),
                                            np.zeros(0, complex))
     assert len(uniq) == len(lam) == len(sums) == 0
+
+
+def test_sum_by_key_refuses_non_integer_key_columns():
+    # keys are signed integers; a float column, even of integer values, is refused
+    ints = np.arange(5000) % 7
+    vals = np.ones(5000)
+    for bad in (ints.astype(float), ints.astype(np.uint64), ints.astype(bool),
+                ints.astype(complex)):
+        for n in (5000, 3, 0):
+            for cols in ((bad[:n],), (ints[:n], bad[:n])):
+                with pytest.raises(TypeError):
+                    kernels.sum_by_key(cols, vals[:n])
 
 
 def _lexsort_sum_by_key(key_columns, vals):
@@ -170,7 +180,7 @@ def _lexsort_sum_by_key(key_columns, vals):
     for col in keys:
         new[1:] |= col[1:] != col[:-1]
     starts = np.flatnonzero(new)
-    return [col[starts] + 0 for col in keys], np.add.reduceat(vals, starts)
+    return [col[starts] for col in keys], np.add.reduceat(vals, starts)
 
 
 def _packs(monkeypatch, key, vals):
@@ -274,24 +284,21 @@ def test_sum_by_key_packs_several_integer_valued_columns(monkeypatch):
     assert rows >= kernels._PACK_ROWS_MULTI
     n = rng.integers(-40, 41, rows)
     j = rng.integers(0, 4, rows)
-    lam = rng.choice(rng.integers(-2**30, 2**30, 200), rows).astype(float)  # duplicates
-    lam[:300] = 0.0
-    lam[:150] *= -1.0  # the zero frequency as both -0.0 and 0.0: one key, +0.0
+    lam = rng.choice(rng.integers(-2**30, 2**30, 200), rows)  # duplicates
+    lam[:300] = 0
     vals = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
     grid = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
     for cols in ((n, j, lam), (n, lam), (j.astype(np.int32), n, lam, j),
                  (lam, n), (np.sort(n), j, lam)):
         for v in (vals, grid, rng.integers(-9, 10, rows)):
             assert _packs(monkeypatch, cols, v)
-    (_, _, keys), _ = kernels.sum_by_key((n, j, lam), vals)
-    assert not np.any(np.signbit(keys) & (keys == 0.0))
-    # a float column that is not all integers below 2^53 takes np.lexsort
-    for bad in (np.nan, np.inf, -np.inf, 0.5, 2.0**53, -(2.0**53), 2.0**60):
+    # a frequency column whose span, beside n and j, passes the word takes np.lexsort
+    for wide in (2**53, -(2**53), 2**60, -(2**63), 2**63 - 1):
         odd = lam.copy()
-        odd[17] = bad
-        assert not _packs(monkeypatch, (n, j, odd), vals), bad
+        odd[17] = wide
+        assert not _packs(monkeypatch, (n, j, odd), vals), wide
     near = lam.copy()
-    near[17] = 2.0**53 - 1  # an integer float64 column, but a span past 50 bits
+    near[17] = 2**53 - 1  # a span past 50 bits
     assert not _packs(monkeypatch, (n, near), vals)
     # fewer rows take np.lexsort, with the same result
     for k in (kernels._PACK_ROWS_MULTI - 1, 1, 0):
@@ -306,10 +313,10 @@ def test_sum_by_key_multi_column_span_limit(monkeypatch):
     # spans 16, 2 and 2^(57 - bits) multiply to exactly 2^(62 - bits): the widest that packs
     n = rng.integers(0, 16, rows) - 7
     j = rng.integers(0, 2, rows)
-    for lo in (0.0, -(2.0**52), 2.0**52 - 2.0**45):
+    for lo in (0, -(2**52), 2**52 - 2**45):
         for extra, packed in ((0, True), (1, False)):
             span = 2 ** (62 - bits - 5) + extra
-            lam = lo + rng.integers(0, span, rows).astype(float)
+            lam = lo + rng.integers(0, span, rows)
             lam[[5, 99]] = lo, lo + span - 1
             n[[5, 99]] = -7, 8
             j[[5, 99]] = 0, 1

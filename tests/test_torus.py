@@ -18,13 +18,12 @@ TWO_PI = TorusConvention.TWO_PI
 
 def random_real_trajectory(rng, band=3):
     """Exactly real-symmetric terms on modes 0..band, each at a random
-    integer frequency and at the non-integer 0.25 and -1 + 1e-12, with
-    random secular powers; the zero mode gets conjugate pairs at +-lambda.
-    Terms are in key order, as ``from_json`` builds them, so conjugate
-    partners are not neighbours."""
-    terms = {(0, 0, 0.0): complex(rng.standard_normal(), 0.0)}
+    integer frequency and at 2^40 and -1, with random secular powers; the
+    zero mode gets conjugate pairs at +-lambda. Terms are in key order, as
+    ``from_json`` builds them, so conjugate partners are not neighbours."""
+    terms = {(0, 0, 0): complex(rng.standard_normal(), 0.0)}
     for n in range(band + 1):
-        for lam in (float(rng.integers(1, 200)), 0.25, -1.0 + 1e-12):
+        for lam in (int(rng.integers(1, 200)), 2**40, -1):
             key = (n, int(rng.integers(0, 2)), lam)
             c = complex(*rng.standard_normal(2))
             terms[key] = c
@@ -108,11 +107,43 @@ def test_reality_preserved_exactly():
 
 
 def test_trajectory_json_roundtrip_exact():
-    u = HarmonicTrajectory(TWO_PI, {(2, 1, -32.0): 1.5 - 2j, (0, 0, 0.25): 1j})
-    v = HarmonicTrajectory.from_json(u.to_json())
-    assert v.terms == u.terms
+    u = HarmonicTrajectory(TWO_PI, {(2, 1, -32): 1.5 - 2j, (0, 0, 2**53 - 1): 1j,
+                                    (-1, 0, 1 - 2**53): 0.1 + 1e-300j})
+    text = u.to_json()
+    v = HarmonicTrajectory.from_json(text)
+    assert v.terms == u.terms and v.lam.dtype == np.int64
+    for a, b in zip(u.columns, v.columns):
+        assert a.tobytes() == b.tobytes()
+    # lam is written as a float, as saved trajectories hold it
+    assert [r["lam"] for r in json.loads(text)["terms"]] == [1.0 - 2**53, 2.0**53 - 1, -32.0]
+    assert '"lam": -32.0' in text
     # tagged with the one torus
     assert json.loads(u.to_json())["convention"] == "two_pi"
+
+
+def test_frequencies_are_checked_integers():
+    # frequencies come in as integers, or as floats holding an integer
+    def record(lam):
+        return json.dumps({"convention": "two_pi",
+                           "terms": [{"n": 1, "j": 0, "lam": lam, "re": 1.0, "im": 0.0}]})
+
+    for load in (lambda lam: HarmonicTrajectory(TWO_PI, {(1, 0, lam): 1.0}),
+                 lambda lam: HarmonicTrajectory.from_json(record(lam)),
+                 lambda lam: HarmonicTrajectory.from_columns([1], [0], [lam], [1.0])):
+        u = load(13.0)
+        assert u.lam.dtype == np.int64 and u.lam.tolist() == [13]
+        assert u.terms == {(1, 0, 13): 1.0 + 0j}
+        for bad in (0.25, -1.0 + 1e-12, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not an integer"):
+                load(bad)
+        for big in (-(2.0**53), 2.0**53, 1e300):
+            with pytest.raises(BandCapExceeded):
+                load(big)
+    assert HarmonicTrajectory(TWO_PI, {(1, 0, 2**53 - 1): 1.0}).lam.tolist() == [2**53 - 1]
+    with pytest.raises(BandCapExceeded):
+        HarmonicTrajectory(TWO_PI, {(1, 0, -(2**53)): 1.0})
+    with pytest.raises(BandCapExceeded):
+        HarmonicTrajectory(TWO_PI, {(1, 0, 2**64): 1.0})
 
 
 def test_trajectory_json_from_another_torus_rejected():
