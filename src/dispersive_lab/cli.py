@@ -3,8 +3,9 @@
 Every run records its resolved configuration (with a seed for the commands
 that sample) and a manifest of produced files; reruns with an identical config reproduce all
 deterministic CSV outputs byte for byte. Exit codes: 0 success, 2 config
-error, int64 overflow or a frequency float64 cannot hold exactly, 3 memory
-budget exceeded.
+error, int64 overflow, a frequency float64 cannot hold exactly, or a result
+that leaves the float64 range (a diverging Picard iteration, an underflowing
+ill-posedness response), 3 memory budget exceeded.
 """
 
 from __future__ import annotations
@@ -487,7 +488,7 @@ def main(argv=None) -> int:
         with open(os.path.join(args.out, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=1)
         return 0
-    except (ConfigError, Int64OverflowError, BandCapExceeded) as exc:
+    except (ConfigError, Int64OverflowError, BandCapExceeded, FloatingPointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -440,30 +440,6 @@ def count_S(spec: SystemSpec, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     return 2 * _square_sum([vals[:-1]]) + int(vals[-1]) ** 2
 
 
-def enumerate_triples(d: int, N: int, A: int, B: int):
-    """All (n1, n2, n3) in [-N, N]^3 with n1+n2+n3 = A and n1^d+n2^d+n3^d = B.
-
-    Joins the (n1, n2) pair grid with the forced third variable, so the cost
-    is O(N^2) rather than O(N^3). Raises Int64OverflowError when the power
-    sums, up to 3 N^d, would not fit in int64.
-    """
-    if d % 2 == 0:
-        raise ValueError("triple enumeration is defined for odd d")
-    if 3 * N**d > INT64_MAX:
-        raise Int64OverflowError(
-            f"enumerate_triples(d={d}, N={N}) sums powers up to {3 * N**d:.3e}, "
-            f"beyond int64 ({INT64_MAX:.3e})")
-    rng = np.arange(-N, N + 1, dtype=np.int64)
-    n1, n2 = np.meshgrid(rng, rng, indexing="ij")
-    n3 = A - n1 - n2
-    ok = np.abs(n3) <= N
-    ok &= n1**d + n2**d + n3**d == B
-    return [
-        (int(a), int(b_), int(c))
-        for a, b_, c in zip(n1[ok].tolist(), n2[ok].tolist(), n3[ok].tolist())
-    ]
-
-
 def check_divisor_property(triple, d: int, A: int | None = None, B: int | None = None) -> bool:
     """Each nonzero pair sum divides B - A^d; a zero pair sum forces B = A^d.
 
@@ -580,13 +556,6 @@ def _divisors(ks, top: int):
     return np.concatenate(out_i), np.concatenate(out_d)
 
 
-def mobius(n: int) -> int:
-    mu, _, _ = mobius_phi_sieve()
-    if not 1 <= n < len(mu):
-        raise ValueError(f"mobius needs 1 <= n <= {len(mu) - 1}")
-    return int(mu[n])
-
-
 def ramanujan_sum(q, n):
     """c_q(n) = sum over delta | gcd(q, n) of delta * mu(q/delta) (Hardy & Wright 16.6).
 
@@ -631,15 +600,6 @@ def ramanujan_sum(q, n):
     np.add.at(rows.reshape(-1), j, val)
     c = rows.reshape(-1).take(np.arange(ks.size).reshape(n.shape) * width + (q - lo))
     return int(c) if c.ndim == 0 else c
-
-
-def ramanujan_sum_direct(q: int, n: int) -> complex:
-    """Direct exponential sum over residues coprime to q (cross-check oracle)."""
-    total = 0j
-    for a in range(1, q + 1):
-        if math.gcd(a, q) == 1:
-            total += np.exp(2j * np.pi * a * n / q)
-    return total
 
 
 def divisor_count(n: int, Q: int) -> int:

@@ -139,14 +139,9 @@ def duhamel(w: HarmonicTrajectory, horizon: float = 1.0) -> HarmonicTrajectory:
     disp = dispersion(n)  # raises past MAX_EXACT_MODE
     mu = lam + disp
     near = np.abs(mu) * horizon < 1e-6
-    count = j + 2  # slots per term: t^j, ..., t^0 at mu, then the constant
-    slots = []  # (terms, slot, re, im)
-    if near.any():
-        series = near.nonzero()[0]
-        slots = _series_slots(series, j, mu, horizon)
-        count[series] = 0
-        for terms, *_ in slots:  # one slot per term still summing
-            count[terms] += 1
+    # slots per term: t^j, ..., t^0 at mu, then the constant; or three series slots
+    count = np.where(near, 3, j + 2)
+    slots = _series_slots(near.nonzero()[0], j, mu)
     far = (~near).nonzero()[0]
     if len(far):
         slots += _closed_slots(far, j, mu)
@@ -196,29 +191,23 @@ def _closed_slots(terms, j, mu) -> list:
     return slots
 
 
-def _series_slots(terms, j, mu, horizon: float) -> list:
+def _series_slots(terms, j, mu) -> list:
     """I_j of near-resonant terms by its series sum_p t^{j+p+1} (i mu)^p /
     (p! (j+p+1)), where the closed form would cancel: slot p is t^{j+p+1} at
-    frequency 0, as (terms, slot, re, im). A term stops after slot p >= 2
-    once |val| horizon^{j+p+1} < 1e-18 max(horizon^j, 1e-30), or after p = 40."""
+    frequency 0, as (terms, slot, re, im), for p = 0, 1, 2.
+
+    Three slots suffice because mu is an integer: either mu = 0, where every
+    p >= 1 term is 0, or 1 <= |mu| < 1e-6 / horizon, so horizon < 1e-6 and at
+    every t <= horizon the p = 3 term is below (mu t)^3 / 6 < 2e-19 of the
+    p = 0 term."""
     j, mu = j[terms], mu[terms]
-    hpow = np.array([horizon ** k for k in range(int(j.max()) + 42)], dtype=float)
-    limit = 1e-18 * np.maximum(hpow[j], 1e-30)
     zr, zi = 0.0 * mu - 0.0, 0.0 + mu  # 1j * mu
     ar, ai = zr + zi * 0.0, zi - zr * 0.0  # divided by p + 1 below, as Python divides
     cr, ci = np.ones(len(terms)), np.zeros(len(terms))  # coef = (i mu)^p / p!
     out = []
-    for p in range(41):
+    for p in range(3):
         k = j + (p + 1)
-        vr, vi = (cr + ci * 0.0) / k, (ci - cr * 0.0) / k  # coef / (j + p + 1)
-        out.append((terms, p, vr, vi))
-        if p >= 2:
-            go = ~(np.hypot(vr, vi) * hpow[k] < limit)
-            if not go.any():
-                break
-            if not go.all():
-                terms, j, limit, ar, ai, cr, ci = (
-                    a[go] for a in (terms, j, limit, ar, ai, cr, ci))
+        out.append((terms, p, (cr + ci * 0.0) / k, (ci - cr * 0.0) / k))  # coef / (j + p + 1)
         wr, wi = ar / (p + 1), ai / (p + 1)
         cr, ci = cr * wr - ci * wi, cr * wi + ci * wr  # coef *= 1j * mu / (p + 1)
     return out
@@ -241,10 +230,8 @@ def first_iterate(phi: FourierSeries, spec: NonlinearitySpec) -> HarmonicTraject
 @dataclass
 class IllposednessScan:
     slope: float
-    intercept: float
     N_list: list
     responses: list
-    full_norms: list
     secular_visible: bool
     warning: str | None
 
@@ -260,35 +247,38 @@ def illposedness_scan(spec: NonlinearitySpec, s: float, eps: float, t: float,
 
     The response is the H^s size of the nonlinear increment u1 - u0 at time
     t: the secular mode dominates it at every N, exposing the sharp growth
-    exponent. The full H^s norm of u1 is also recorded; when the secular
-    term is below the linear part everywhere (t not large against the
-    N^{2s-1}-type threshold), a warning marks that the full norm would not
-    show the growth. Fewer than two distinct N fit no line: ``ValueError``.
+    exponent. When the secular term is below the linear part everywhere (t
+    not large against the N^{2s-1}-type threshold), a warning marks that
+    the full norm of u1 would not show the growth. Fewer than two distinct N
+    fit no line: ``ValueError``. A response that float64 cannot hold, 0
+    (|c|^2 underflows, e.g. at s = 50) or not finite, has no logarithm:
+    ``FloatingPointError``.
     """
     N_list = list(N_list)
     if len(set(N_list)) < 2:
         raise ValueError(f"a slope needs at least two distinct N, got {N_list}")
-    responses, fulls, ratios = [], [], []
+    responses, ratios = [], []
     for N in N_list:
         phi = two_mode_data(N, s, eps)
         u1 = first_iterate(phi, spec)
         u0 = flow_trajectory(phi)
-        inc = (u1 - u0).at_time(t)
-        responses.append(h_s_norm(inc, s))
-        full = h_s_norm(u1.at_time(t), s)
-        fulls.append(full)
+        response = h_s_norm((u1 - u0).at_time(t), s)
+        if not 0 < response < math.inf:
+            raise FloatingPointError(
+                f"the H^s response at N = {N}, s = {s} reads {response}: its squared "
+                "amplitudes leave the float64 range")
+        responses.append(response)
         lin = h_s_norm(phi, s)
-        ratios.append(responses[-1] / lin if lin > 0 else math.inf)
+        ratios.append(response / lin if lin > 0 else math.inf)
     logs_n = np.log(np.array(N_list, dtype=float))
     logs_r = np.log(np.array(responses))
-    slope, intercept = np.polyfit(logs_n, logs_r, 1)
+    slope = np.polyfit(logs_n, logs_r, 1)[0]
     visible = max(ratios) >= 1.0
     warning = None
     if not visible:
         warning = ("secular term below the linear part at every N; "
                    "slope measured on the nonlinear response u1 - u0")
-    return IllposednessScan(float(slope), float(intercept), N_list, responses,
-                            fulls, visible, warning)
+    return IllposednessScan(float(slope), N_list, responses, visible, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +437,15 @@ def contraction_achieved(states) -> bool:
     return False
 
 
+def _finite(state: PicardState, step: float) -> PicardState:
+    """``state``, once its diff norm is finite; else ``FloatingPointError``."""
+    if not math.isfinite(state.diff_norm):
+        raise FloatingPointError(
+            f"Picard iterate {state.j} has diff norm {state.diff_norm} at time step "
+            f"{step:.3e}: the iteration diverged")
+    return state
+
+
 def _nonlinear_work_estimate(term_count: int, spec: NonlinearitySpec) -> float:
     return float(term_count) ** _band_factor(spec)
 
@@ -473,7 +472,8 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
     deg P2 + 2), which every iterate's products fit. The diff norms are
     taken on a 33-point diagnostic time grid. A band_cap above ``MAX_EXACT_MODE`` raises
     ``BandCapExceeded``: the sampled path needs n^5 exactly for every mode
-    up to it.
+    up to it. A diff norm that is not finite (the iteration diverged past
+    float64) raises ``FloatingPointError``.
     """
     if delta <= 0:
         raise ValueError("time horizon must be positive")
@@ -488,9 +488,10 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
     diag = times[::max(1, (len(times) - 1) // 32)]
     u0_exact = flow_trajectory(phi)
     data_dropped = u0_exact.truncated(band_cap)[1]  # constant in time: one term per mode
-    states = [PicardState(0, u0_exact, _sup_hs_distance(
+    step = times[1] - times[0]
+    states = [_finite(PicardState(0, u0_exact, _sup_hs_distance(
         u0_exact, HarmonicTrajectory(phi.convention, {}), s, diag, band_cap),
-        "exact", u0_exact.term_count(), 0.0)]
+        "exact", u0_exact.term_count(), 0.0), step)]
     u_prev = u0_exact
     for j in range(1, max_iter + 1):
         if isinstance(u_prev, HarmonicTrajectory) and (
@@ -509,10 +510,11 @@ def picard_solve(phi: FourierSeries, spec: NonlinearitySpec, delta: float,
             count = u_next.term_count()
         else:
             u_next = _sampled_duhamel(phi, w.coeffs, times, band_cap)
-            rep = f"sampled(step={times[1] - times[0]:.3e})"
+            rep = f"sampled(step={step:.3e})"
             count = u_next.coeffs.size
         diff = _sup_hs_distance(u_next, u_prev, s, diag, band_cap)
-        states.append(PicardState(j, u_next, diff, rep, count, max(dropped, data_dropped)))
+        states.append(_finite(PicardState(j, u_next, diff, rep, count,
+                                          max(dropped, data_dropped)), step))
         u_prev = u_next
     return states
 

@@ -52,12 +52,6 @@ def all_ones(N: int, normalize: bool = True) -> CoefficientVector:
     return CoefficientVector(N, np.ones(2 * N + 1), normalize=normalize)
 
 
-def single_mode(N: int, n: int = 0) -> CoefficientVector:
-    a = np.zeros(2 * N + 1)
-    a[n + N] = 1.0
-    return CoefficientVector(N, a)
-
-
 def even_norm(vec: CoefficientVector, b: int, d: int,
               mem_budget: int = counting.DEFAULT_MEM_BUDGET) -> float:
     """Exact L^{2b}(T^2) norm of F(x,t) = sum a_n e^{2 pi i (n x + n^d t)}.
@@ -233,12 +227,6 @@ def _wilson_halfwidth(hits: int, n: int) -> float:
     p_hat = hits / n
     denom = 1.0 + Z_95 * Z_95 / n
     return Z_95 * math.sqrt(p_hat * (1 - p_hat) / n + Z_95 * Z_95 / (4 * n * n)) / denom
-
-
-def level_set_measure(vec: CoefficientVector, d: int, lam: float,
-                      config: SamplerConfig | None = None) -> LevelSetEntry:
-    """Monte Carlo measure of {(x,t) in [0,1)^2 : |F(x,t)| > lam}, Wilson CI."""
-    return level_set_profile(vec, d, [lam], config).entries[0]
 
 
 def level_set_profile(vec: CoefficientVector, d: int, lams,

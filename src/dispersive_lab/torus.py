@@ -29,16 +29,16 @@ operation computes only the canonical output keys, those with (n, lambda) >=
 (0, 0); each mirror key (-n, j, -lambda) receives the conjugate, and a
 self-mirrored key (n = 0, lambda = 0) keeps only its real part. Inputs that
 are not exactly real-symmetric are summed in full. On the circle every
-frequency is an integer, so lambda is int64; one given as a float such as
-13.0 is taken as its integer, and a non-integer raises ``ValueError``. A
-kept frequency must stay below 2^53 in modulus, where float64 holds it, or
-``BandCapExceeded`` (defined in ``kernels``, and importable from here) is
-raised; two such frequencies add without wrapping int64.
+frequency is an integer, so lambda is int64, like n and j. A key value given
+as a float such as 13.0 is taken as its integer; a non-integer, or a power
+j < 0, raises ``ValueError``. A kept frequency must stay below 2^53 in
+modulus, where float64 holds it, or ``BandCapExceeded`` (defined in
+``kernels``, and importable from here) is raised; two such frequencies add
+without wrapping int64.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,27 +85,20 @@ class FourierSeries:
         return HarmonicTrajectory.from_series(self).product(
             HarmonicTrajectory.from_series(other), band_cap).at_time(0.0)
 
-    def evaluate(self, x) -> complex:
-        return sum(c * cmath.exp(1j * n * x) for n, c in self.coeff.items())
 
-    def is_real_symmetric(self) -> bool:
-        """True iff coeff(-n) == conj(coeff(n)) exactly."""
-        return HarmonicTrajectory.from_series(self).is_real_symmetric()
-
-
-def _frequencies(lam) -> np.ndarray:
-    """The frequency column as int64: any other dtype is checked and converted."""
-    lam = np.asarray(lam)
-    if lam.dtype == np.int64:
-        return lam
-    lam = lam.astype(np.float64)
-    integer = np.isfinite(lam) & (lam == np.trunc(lam))
+def _integers(col, name: str) -> np.ndarray:
+    """A key column as int64: any other dtype is checked and converted."""
+    col = np.asarray(col)
+    if col.dtype == np.int64:
+        return col
+    col = col.astype(np.float64)
+    integer = np.isfinite(col) & (col == np.trunc(col))
     if not integer.all():
-        raise ValueError(f"frequency {lam[~integer][0]:.17g} is not an integer")
-    if (np.abs(lam) >= EXACT_LIMIT).any():
-        raise BandCapExceeded(f"frequency {np.abs(lam).max():.17g} in modulus is not below "
+        raise ValueError(f"{name} {col[~integer][0]:.17g} is not an integer")
+    if (np.abs(col) >= EXACT_LIMIT).any():
+        raise BandCapExceeded(f"{name} {np.abs(col).max():.17g} in modulus is not below "
                               "2^53, where float64 stops holding integers exactly")
-    return lam.astype(np.int64)
+    return col.astype(np.int64)
 
 
 class HarmonicTrajectory:
@@ -114,7 +107,7 @@ class HarmonicTrajectory:
     Terms are four columns ``n``, ``j``, ``lam`` (int64) and ``c``
     (complex128), sorted by the key (n, j, lambda), with equal keys merged by
     ``sum_by_key`` and zero amplitudes dropped; j > 0 only arises from
-    resonant Duhamel integration. Frequencies are checked as the module
+    resonant Duhamel integration. Keys are checked as the module
     docstring says; n^5 stays below 2^53 for |n| <= 1552.
     """
 
@@ -137,8 +130,10 @@ class HarmonicTrajectory:
         return out
 
     def _assign(self, n, j, lam, c, real=False):
-        n, j = np.asarray(n, dtype=np.int64), np.asarray(j, dtype=np.int64)
-        lam, c = _frequencies(lam), np.asarray(c, dtype=complex)
+        n, j, lam = _integers(n, "mode"), _integers(j, "power"), _integers(lam, "frequency")
+        if (j < 0).any():
+            raise ValueError(f"power {j.min()} is negative: a term is t^j with j >= 0")
+        c = np.asarray(c, dtype=complex)
         if real:
             canonical = (n > 0) | ((n == 0) & (lam >= 0))
             (n, j, lam), c = sum_by_key((n[canonical], j[canonical], lam[canonical]),
@@ -234,14 +229,6 @@ class HarmonicTrajectory:
     def x_derivative_power(self, order: int) -> "HarmonicTrajectory":
         return HarmonicTrajectory.from_columns(self.n, self.j, self.lam,
                                                (1j * self.n) ** order * self.c)
-
-    def t_derivative(self) -> "HarmonicTrajectory":
-        """Exact d/dt: t^j e^{i lam t} -> j t^{j-1} e^{i lam t} + i lam t^j e^{i lam t}."""
-        s = self.j > 0
-        return HarmonicTrajectory.from_columns(
-            np.concatenate((self.n, self.n[s])),
-            np.concatenate((self.j, self.j[s] - 1)), np.concatenate((self.lam, self.lam[s])),
-            np.concatenate((1j * self.lam * self.c, self.j[s] * self.c[s])))
 
     def coefficients(self, times, band: int) -> np.ndarray:
         """Mode coefficients at each time: array[n + band, m] at times[m], |n| <= band.

@@ -284,20 +284,6 @@ class PhiData:
         hi = Fraction(a, q) + Fraction(1, 100 * q * q)
         return lo, hi
 
-    def phi_eval(self, t: float) -> float:
-        """Direct evaluation of the defining arc sum at t (periodic in t)."""
-        t = t % 1.0
-        total = 0.0
-        lo, hi = self.bump.SUPPORT
-        for q in range(self.q_lo, self.q_hi + 1):
-            a = round(t * q)
-            if a < 1 or a > q or math.gcd(a, q) != 1:
-                continue
-            u = (t - a / q) * q * q
-            if lo <= u <= hi:
-                total += float(self.bump.profile(u))
-        return total
-
 
 def build_phi(Q: int) -> PhiData:
     """Farey bump on arcs with q in [Q, 5Q]; 'q ~ Q' is read as this range.
@@ -393,7 +379,6 @@ class KernelDecomposition:
     d: int
     Q: int
     phi: PhiData
-    regime_ok: bool
 
     def __post_init__(self):
         # phi_hat(0) returns this same float, so the on-curve coefficient
@@ -438,13 +423,12 @@ def decompose_kernel(N: int, d: int, Q) -> KernelDecomposition:
     the decomposition is still returned.
     """
     Qi = int(math.floor(Q))
-    regime_ok = N ** (d - 1) <= Qi <= N**d
-    if not regime_ok:
+    if not N ** (d - 1) <= Qi <= N**d:
         warnings.warn(
             f"Q={Qi} outside the regime [N^(d-1), N^d] = [{N**(d-1)}, {N**d}]",
             stacklevel=2,
         )
-    return KernelDecomposition(N, d, Qi, build_phi(Qi), regime_ok)
+    return KernelDecomposition(N, d, Qi, build_phi(Qi))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,29 @@ def test_bad_config_values_exit_2(tmp_path, command, params, word):
     assert not out.exists() or os.listdir(out) == []
 
 
+# values inside the config domains whose results leave the float64 range:
+# Picard's diff norms overflow, or the s = 50 response underflows to 0. numpy
+# may warn on stderr first; the last line is the config error
+FLOAT_RANGE = [
+    ("solve", "delta=1e3", "diverged"),
+    ("solve", "delta=1e6", "diverged"),
+    ("solve", "delta=5e6", "diverged"),
+    ("solve", "amp=1e200", "diverged"),
+    ("illposed", "s=50", "response"),
+]
+
+
+@pytest.mark.parametrize("command,param,word", FLOAT_RANGE,
+                         ids=[f"{c}-{p}" for c, p, _ in FLOAT_RANGE])
+def test_float_range_failures_exit_2(tmp_path, command, param, word):
+    out = tmp_path / "run"
+    r = run_cli([command, "--out", str(out), "--param", param])
+    assert r.returncode == 2, r.stderr
+    last = r.stderr.splitlines()[-1]
+    assert last.startswith("config error:") and word in last
+    assert not list(out.glob("*.csv"))
+
+
 def test_gauge_check_samples_on_the_picard_grid(tmp_path):
     # picard_solve rounds 64 samples up to 65; a harmonic final iterate is
     # sampled on that grid, step delta/64

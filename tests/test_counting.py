@@ -18,14 +18,11 @@ from dispersive_lab.counting import (
     check_divisor_property,
     count_S,
     divisor_count,
-    enumerate_triples,
     max_offcurve_solution_count,
-    mobius,
     mobius_phi_sieve,
     power_sum_distribution,
     ramanujan_block_ratio,
     ramanujan_sum,
-    ramanujan_sum_direct,
     weighted_square_sum,
 )
 
@@ -483,36 +480,16 @@ def test_weighted_table_matches_counts():
 
 
 def test_enumerate_triples_odd_d_example():
-    sols = enumerate_triples(5, 3, 6, 276)
-    assert (1, 2, 3) in sols
-    assert len(sols) == 6  # the six permutations
+    # the triples of signature (6, 276) at d = 5 are the six orders of (1, 2, 3)
+    A, B, V = power_sum_distribution(SystemSpec(5, 3, 3))
+    assert V[(A == 6) & (B == 276)].tolist() == [6]
 
 
 def test_enumerate_triples_zero_family():
-    sols = enumerate_triples(3, 4, 0, 0)
-    for k in range(-4, 5):
-        assert (k, -k, 0) in sols
-
-
-def test_triples_require_odd_d():
-    with pytest.raises(ValueError):
-        enumerate_triples(4, 3, 0, 0)
-
-
-def test_enumerate_triples_refuses_int64_wrap():
-    # (200, -199, 2) has B = 200^9 - 199^9 + 2^9 > 2^63: summed in int64 it
-    # would wrap, missing the true B and finding six "solutions" at B - 2^64
-    B = 200**9 - 199**9 + 2**9
-    assert B > counting.INT64_MAX
-    for b in (B, B - 2**64):
-        with pytest.raises(Int64OverflowError, match="d=9, N=200"):
-            enumerate_triples(9, 200, 3, b)
-    # the largest N whose 3 N^9 fits still enumerates, with exact sums
-    N = max(n for n in range(1, 200) if 3 * n**9 <= counting.INT64_MAX)
-    B = N**9 - (N - 1) ** 9 + 1
-    assert (N, -(N - 1), 1) in enumerate_triples(9, N, 2, B)
-    with pytest.raises(Int64OverflowError):
-        enumerate_triples(9, N + 1, 2, B)
+    # at d = 3 a zero sum gives n1^3 + n2^3 + n3^3 = 3 n1 n2 n3, so signature
+    # (0, 0) holds only (0, 0, 0) and the family (k, -k, 0), 6 orders per k
+    A, B, V = power_sum_distribution(SystemSpec(3, 3, 4))
+    assert V[(A == 0) & (B == 0)].tolist() == [1 + 6 * 4]
 
 
 def test_divisor_property_example():
@@ -549,10 +526,8 @@ def test_max_offcurve_count_int64_guard():
 
 
 def test_mobius_values():
-    assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    for n in (0, -1, -4):
-        with pytest.raises(ValueError):
-            mobius(n)
+    mu = mobius_phi_sieve()[0]
+    assert mu[1:11].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
 def _python_sieve(limit):
@@ -593,6 +568,15 @@ def test_ramanujan_sum_arrays_match_scalars():
         ramanujan_sum(np.array([5, DEFAULT_SIEVE_LIMIT + 1]), 3)
     with pytest.raises(ValueError):
         ramanujan_sum(0, 3)
+
+
+def ramanujan_sum_direct(q: int, n: int) -> complex:
+    """Direct exponential sum over residues coprime to q (cross-check oracle)."""
+    total = 0j
+    for a in range(1, q + 1):
+        if math.gcd(a, q) == 1:
+            total += np.exp(2j * np.pi * a * n / q)
+    return total
 
 
 def test_ramanujan_examples():

@@ -27,6 +27,7 @@ from dispersive_lab.kdv import (
 from dispersive_lab.kdv import _cumulative_simpson
 from dispersive_lab.norms import dispersion, h_s_norm
 from dispersive_lab.torus import BandCapExceeded, FourierSeries, HarmonicTrajectory, TorusConvention
+from test_torus import t_derivative
 
 TP = TorusConvention.TWO_PI
 
@@ -326,6 +327,14 @@ def test_duhamel_columns_match_scalar_recursion_bytes():
     # closed forms j = 0..3, and series on integer mu != 0 (|mu| horizon < 1e-6)
     assert {2, 3, 4, 5} <= slots and near > 1000, near
     assert duhamel(HarmonicTrajectory(TP, {})).term_count() == 0
+    # powers j = 4..6 at long horizons: resonant terms take the three series
+    # slots, near-resonant ones (mu = 3) the closed form
+    w = HarmonicTrajectory(TP, {(n, j, -n**5 + mu): complex(j, mu + 1)
+                                for n in (1, -2) for j in (4, 5, 6) for mu in (0, 3)})
+    for horizon in (1e6, 1e7):
+        want, got = scalar_duhamel(w, horizon), duhamel(w, horizon)
+        for a, b in zip(want.columns, got.columns):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_sampled_product_matches_rowwise_temporaries():
@@ -352,7 +361,7 @@ def test_duhamel_differential_identity():
         terms[key] = complex(*rng.standard_normal(2))
     w = HarmonicTrajectory(TP, terms)
     dw = duhamel(w, horizon=2.0)
-    resid = dw.t_derivative() + dw.x_derivative_power(5) + w
+    resid = t_derivative(dw) + dw.x_derivative_power(5) + w
     assert max((abs(c) for c in resid.terms.values()), default=0.0) < 1e-12
 
 
@@ -458,7 +467,7 @@ def test_picard_mean_conserved():
 
 def test_picard_reality_preserved():
     phi = FourierSeries(TP, {1: 0.1 + 0.02j, -1: 0.1 - 0.02j, 2: 0.03, -2: 0.03})
-    assert phi.is_real_symmetric()
+    assert HarmonicTrajectory.from_series(phi).is_real_symmetric()
     states = picard_solve(phi, u_squared_p1(), 1e-3, max_iter=3, band_cap=8,
                           time_samples=33)
     for st in states:

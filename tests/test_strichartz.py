@@ -15,10 +15,8 @@ from dispersive_lab.strichartz import (
     even_norm,
     even_norm_power_gradient,
     k_lower_envelope,
-    level_set_measure,
     level_set_profile,
     local_l4_norm,
-    single_mode,
     verify_embeddings,
     verify_l4_weighted_bound,
 )
@@ -154,11 +152,12 @@ def test_envelope_rejects_odd_p():
 
 
 def test_level_set_trivial_levels():
-    vec = single_mode(4, 2)
+    vec = CoefficientVector(4, np.eye(9)[2 + 4])  # the single mode n = 2
     cfg = SamplerConfig(samples=4000, seed=1)
-    assert level_set_measure(vec, 3, 0.0, cfg).measure_estimate == 1.0
     total = float(np.sum(np.abs(vec.a)))
-    assert level_set_measure(vec, 3, total + 1e-9, cfg).measure_estimate == 0.0
+    low, high = level_set_profile(vec, 3, [0.0, total + 1e-9], cfg).entries
+    assert low.measure_estimate == 1.0
+    assert high.measure_estimate == 0.0
 
 
 def test_level_set_profile_monotone():
@@ -205,7 +204,7 @@ def test_level_set_profile_one_sample_set_serves_every_level(monkeypatch):
         calls.clear()
         level_set_profile(vec, d, levels, cfg)
         assert len(calls) == math.ceil(samples / SAMPLE_CHUNK)
-    assert level_set_measure(vec, d, lams[3], cfg) == prof.entries[3]
+    assert level_set_profile(vec, d, [lams[3]], cfg).entries == [prof.entries[3]]
     with pytest.raises(ValueError, match="nonnegative"):
         level_set_profile(vec, d, [0.5, -0.1], cfg)
 
@@ -278,7 +277,7 @@ def test_level_set_inequality_from_kernel_split():
     measures = {}
     for lam in (1.0, 2.0, 3.5):
         cfg = SamplerConfig(samples=200_000, seed=int(lam * 10))
-        measures[lam] = level_set_measure(vec, d, lam, cfg).measure_estimate
+        measures[lam] = level_set_profile(vec, d, [lam], cfg).entries[0].measure_estimate
     for Q in (N**2, 2 * N**2):
         dec = weyl.decompose_kernel(N, d, Q)
         sup1 = 0.0

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -29,6 +30,20 @@ def random_real_trajectory(rng, band=3):
             terms[key] = c
             terms[(-n, key[1], -lam)] = c.conjugate()
     return HarmonicTrajectory(TWO_PI, dict(sorted(terms.items())))
+
+
+def evaluate(f, x) -> complex:
+    """f at the point x, summed mode by mode."""
+    return sum(c * cmath.exp(1j * n * x) for n, c in f.coeff.items())
+
+
+def t_derivative(u):
+    """Exact d/dt: t^j e^{i lam t} -> j t^{j-1} e^{i lam t} + i lam t^j e^{i lam t}."""
+    s = u.j > 0
+    return HarmonicTrajectory.from_columns(
+        np.concatenate((u.n, u.n[s])),
+        np.concatenate((u.j, u.j[s] - 1)), np.concatenate((u.lam, u.lam[s])),
+        np.concatenate((1j * u.lam * u.c, u.j[s] * u.c[s])))
 
 
 def brute_product(u, v):
@@ -79,8 +94,8 @@ def test_convolution_matches_grid_sampling():
     h = f.product(g)
     M = 64
     xs = 2 * math.pi * np.arange(M) / M
-    fv = np.array([f.evaluate(x) for x in xs])
-    gv = np.array([g.evaluate(x) for x in xs])
+    fv = np.array([evaluate(f, x) for x in xs])
+    gv = np.array([evaluate(g, x) for x in xs])
     hv = fv * gv
     spec = np.fft.fft(hv) / M
     for n in range(-16, 17):
@@ -101,9 +116,10 @@ def test_reality_preserved_exactly():
             coeff[n] = c
             coeff[-n] = c.conjugate()
         f = FourierSeries(TWO_PI, coeff)
-        assert f.is_real_symmetric()
-        assert f.product(f).is_real_symmetric()
-        assert HarmonicTrajectory.from_series(f).x_derivative().is_real_symmetric()
+        u = HarmonicTrajectory.from_series(f)
+        assert u.is_real_symmetric()
+        assert HarmonicTrajectory.from_series(f.product(f)).is_real_symmetric()
+        assert u.x_derivative().is_real_symmetric()
 
 
 def test_trajectory_json_roundtrip_exact():
@@ -146,6 +162,24 @@ def test_frequencies_are_checked_integers():
         HarmonicTrajectory(TWO_PI, {(1, 0, 2**64): 1.0})
 
 
+def test_modes_and_powers_are_checked_integers():
+    # n and j are checked as lambda is: a non-integer or a negative power raises
+    for key in ((1.5, 0.7, 0), (1.5, 0, 0), (1, 0.7, 0), (math.nan, 0, 0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            HarmonicTrajectory(TWO_PI, {key: 1.0})
+        with pytest.raises(ValueError, match="not an integer"):
+            HarmonicTrajectory.from_columns(*([v] for v in key), [1.0])
+    # a term is t^j with j >= 0; coefficients has no row for t^-1
+    with pytest.raises(ValueError, match="power -1 is negative"):
+        HarmonicTrajectory(TWO_PI, {(1, -1, 0): 1.0, (1, 2, 0): 1.0})
+    with pytest.raises(ValueError, match="negative"):
+        HarmonicTrajectory.from_columns(np.array([1]), np.array([-1]), np.array([0]), [1.0])
+    # floats holding integers are taken as their integers
+    u = HarmonicTrajectory(TWO_PI, {(2.0, 1.0, 0): 1.0})
+    assert u.terms == {(2, 1, 0): 1 + 0j}
+    assert u.n.dtype == u.j.dtype == np.int64
+
+
 def test_trajectory_json_from_another_torus_rejected():
     # a record tagged with another torus must not load onto the 2 pi one
     record = json.loads(HarmonicTrajectory(TWO_PI, {(1, 0, -1.0): 1.0}).to_json())
@@ -164,7 +198,7 @@ def test_trajectory_product_merges_terms():
 
 def test_trajectory_time_derivative():
     u = HarmonicTrajectory(TWO_PI, {(1, 2, 5.0): 3.0})
-    du = u.t_derivative()
+    du = t_derivative(u)
     assert du.terms[(1, 1, 5.0)] == 6.0
     assert du.terms[(1, 2, 5.0)] == 15j
 
@@ -186,7 +220,7 @@ def test_real_trajectory_evaluates_exactly_symmetric():
         coeffs = u.coefficients(times, 5)
         assert np.array_equal(coeffs[::-1], np.conj(coeffs))
         for t in times:
-            assert u.at_time(t).is_real_symmetric()
+            assert HarmonicTrajectory.from_series(u.at_time(t)).is_real_symmetric()
 
 
 def blockwise_coefficients(u, times, band, block_cells=1 << 15):

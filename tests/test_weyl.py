@@ -274,13 +274,28 @@ def test_phi_hat_paths_agree_at_the_regime_boundary():
         assert got.tobytes() == np.array([p.phi_hat(k) for k in mixed.tolist()]).tobytes(), Q
 
 
+def phi_eval(p, t: float) -> float:
+    """Direct evaluation of the defining arc sum of ``p`` at t (periodic in t)."""
+    t = t % 1.0
+    total = 0.0
+    lo, hi = p.bump.SUPPORT
+    for q in range(p.q_lo, p.q_hi + 1):
+        a = round(t * q)
+        if a < 1 or a > q or math.gcd(a, q) != 1:
+            continue
+        u = (t - a / q) * q * q
+        if lo <= u <= hi:
+            total += float(p.bump.profile(u))
+    return total
+
+
 def test_phi_eval_support():
     p = build_phi(8)
     # inside the q=10, a=1 arc
     t = 1 / 10 + 0.006 / 100
-    assert p.phi_eval(t) == pytest.approx(float(p.bump.profile(0.006)), rel=1e-9)
+    assert phi_eval(p, t) == pytest.approx(float(p.bump.profile(0.006)), rel=1e-9)
     # far from every arc of denominators in [8, 40]
-    assert p.phi_eval(0.5 + 0.003) == 0.0
+    assert phi_eval(p, 0.5 + 0.003) == 0.0
 
 
 def test_phi_hat_ramanujan_reduction_vs_arc_integral_oracle():
@@ -378,7 +393,7 @@ def test_decomposition_identity_random_points():
     idx = rng.integers(0, M, 10_000)
     ts = idx / M
     xs = rng.random(10_000)
-    phi_vals = np.array([dec.phi.phi_eval(t) for t in ts])
+    phi_vals = np.array([phi_eval(dec.phi, t) for t in ts])
     k_n = curve_sum(np.ones(2 * N + 1), d, xs, ts)
     k1 = k_n * phi_vals / dec.phi_hat0
     k2 = k_n * (1.0 - series[idx] / dec.phi_hat0)
