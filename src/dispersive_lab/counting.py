@@ -17,13 +17,13 @@ at most one key per multiset; sparse keys are taken whenever that bound
 keeps the largest sparse level within both the top grid and the budget,
 which also rules out a sparse refusal. For d >= 3 the tables fill well
 under 1% of their grid, so this covers most inputs; the grid rule decides
-the rest. Sparse keys come from one of two builders with the same bytes
-(``_build_sparse``): an unweighted table whose multiset bound fits the
-budget, so that it cannot refuse, holds one row per multiset of entries and
-sorts once, at the top; weighted tables, and unweighted ones that may
-refuse, expand and sum every level. Counts are int64 end to end, ``_plan``
-refuses keys that would wrap, and sums of squares are Python ints, so every
-reported count is exact.
+the rest. Sparse keys come from one of two builders with the same keys
+(``_build_sparse``): a table whose multiset bound fits the budget, so that
+it cannot refuse, holds one row per multiset of entries (its count, and for
+a weighted table its weight product) and sorts once, at the top; tables
+that may refuse expand and sum every level. Counts are int64 end to end,
+``_plan`` refuses keys that would wrap, and sums of squares are Python
+ints, so every reported count is exact.
 Whatever the layout, a table leaves this module as its (A, B, value)
 columns (``power_sum_distribution``) or as one sum (``count_S``,
 ``weighted_square_sum``) taken on the layout in place.
@@ -128,11 +128,12 @@ def _plan(spec: SystemSpec, budget: int, weighted: bool = False, want: str = "ta
     up to (2N+1)^b = 4,000,000 tuples, the grid rule past that), so no
     input that rule computed is refused.
 
-    Which sparse builder runs is ``_build_sparse``'s choice, from the spec
-    and the budget alone: an unweighted build whose unclipped bound,
-    C(2N+b-1, b-1) * (2N+1) pairs of 16 bytes, fits the budget has nothing
-    to refuse and is built from multisets, with one sort at the top level
-    (``_multisets_fit``); any other expands and sums every level.
+    Which sparse builder runs is ``_build_sparse``'s choice, from the spec,
+    the weighting and the budget alone: a build whose unclipped bound,
+    C(2N+b-1, b-1) * (2N+1) pairs of 16 bytes (24 weighted), fits the
+    budget has nothing to refuse and is built from multisets, with one sort
+    at the top level (``_multisets_fit``); any other expands and sums every
+    level.
     Raises Int64OverflowError when packed keys or counts (up to the tuple
     mass (2N+1)^b) would not fit in int64.
     """
@@ -206,12 +207,12 @@ def _dense_levels(spec: SystemSpec, weights=None):
         yield table
 
 
-def _runs(column, stops, shifts):
-    """column[:stop] + shift for each (stop, shift), end to end in one buffer."""
+def _runs(column, stops, operands, ufunc=np.add):
+    """ufunc(column[:stop], x) for each (stop, x), end to end in one buffer."""
     out = np.empty(int(stops.sum()), dtype=column.dtype)
     at = 0
-    for stop, shift in zip(stops.tolist(), shifts.tolist()):
-        np.add(column[:stop], shift, out=out[at:at + stop])
+    for stop, x in zip(stops.tolist(), operands.tolist()):
+        ufunc(column[:stop], x, out=out[at:at + stop])
         at += stop
     return out
 
@@ -225,25 +226,29 @@ def _refuse_sparse(spec: SystemSpec):
     )
 
 
-def _multisets_fit(spec: SystemSpec, budget: int) -> bool:
-    """Whether an unweighted sparse build of ``spec`` takes ``_multiset_top``.
+def _multisets_fit(spec: SystemSpec, budget: int, weighted: bool = False) -> bool:
+    """Whether a sparse build of ``spec`` takes ``_multiset_top``.
 
     It does when the multiset bound of ``_plan``, C(2N+b-1, b-1) keys of
-    level b-1 expanded by 2N+1 deltas at 16 bytes a pair, fits the budget:
-    then no level check of ``_iterated_top`` can refuse, so the two builders
-    compute the same inputs. Its top level has C(2N+b, b) rows, a share
-    (2N+b) / (b (2N+1)) of those pairs. Each count update forms cnt * L,
-    which is at most L! (cnt is at most (L-1)!) and at most b (2N+1)^b (the
-    new count times the new multiplicity), so the smaller of the two must
-    fit in int64.
+    level b-1 expanded by 2N+1 deltas at 8 bytes a key and 8 (counts) or 16
+    (weighted values) a value, fits the budget: then no level check of
+    ``_iterated_top`` can refuse, so the two builders compute the same
+    inputs. Its top level has C(2N+b, b) rows, a share (2N+b) / (b (2N+1))
+    of those pairs. Each count update forms cnt * L, which is at most L!
+    (cnt is at most (L-1)!) and at most b (2N+1)^b (the new count times the
+    new multiplicity), so the smaller of the two must fit in int64. A
+    weighted row's value is its count times a float weight product, so
+    there the largest count, at most b!, must also stay below 2^53, where
+    its conversion to float64 is exact.
     """
     K, b = 2 * spec.N + 1, spec.b
-    return (math.comb(K + b - 2, b - 1) * K * 16 <= budget
-            and min(math.factorial(b), b * K**b) <= INT64_MAX)
+    return (math.comb(K + b - 2, b - 1) * K * (24 if weighted else 16) <= budget
+            and (math.factorial(b) < 2**53 if weighted
+                 else min(math.factorial(b), b * K**b) <= INT64_MAX))
 
 
-def _multiset_top(spec: SystemSpec, keys, halved: bool):
-    """Summed (keys, counts) of the b-tuple table, from one row per multiset of entries.
+def _multiset_top(spec: SystemSpec, keys, weights, halved: bool):
+    """Summed (keys, values) of the b-tuple table, from one row per multiset of entries.
 
     ``keys`` are level 1's keys, one per entry, increasing. A level's rows
     are its non-decreasing tuples, grouped by their largest entry j: group j
@@ -253,14 +258,19 @@ def _multiset_top(spec: SystemSpec, keys, halved: bool):
     multiplies that by L over j's new multiplicity, exactly in int64
     (``_multisets_fit``). Only the largest entry can repeat, and it repeats
     just in the rows of group j of level L-1 itself, which lie at the end of
-    each new group j, so a small run counter per row is enough. The top level
-    alone is summed; with ``halved`` its rows past the centre ``keys[N]``
-    (the key of entry 0) are dropped first. Integer counts add exactly, in
-    any order, so the result has the bytes of ``_iterated_top``.
+    each new group j, so a small run counter per row is enough. Every
+    ordering of a multiset has the same weight product, so with ``weights``
+    a row also carries the product of its entries' weights, group j's being
+    the prefix's times weights[j], and its value is count times product.
+    The top level alone is summed; with ``halved`` its rows past the centre
+    ``keys[N]`` (the key of entry 0) are dropped first. Integer counts add
+    exactly, in any order, so an unweighted result has the bytes of
+    ``_iterated_top``; a weighted one adds its terms in another order.
     """
     base = keys[spec.N]
     deltas = keys - base
     cnt = np.ones(len(keys), dtype=np.int64)
+    prod = None if weights is None else weights.copy()  # scaled in place at the top
     run = np.ones(len(keys), dtype=np.int8)  # multiplicity of each row's largest entry
     ends = np.arange(1, len(keys) + 1)  # group j is rows ends[j-1] .. ends[j]-1
     for level in range(2, spec.b + 1):
@@ -270,12 +280,17 @@ def _multiset_top(spec: SystemSpec, keys, halved: bool):
         keys = _runs(keys, ends, deltas)
         cnt *= level
         cnt = _runs(cnt, ends, np.zeros_like(deltas))
+        if weights is not None:
+            prod = _runs(prod, ends, weights, np.multiply)
         run += 1
         cnt[tail] //= run
         if level < spec.b:
             last, run = run, np.ones(len(cnt), dtype=np.int8)
             run[tail] = last
         ends = offsets
+    if weights is not None:
+        prod *= cnt  # counts below 2^53 convert exactly
+        cnt = prod
     if halved:
         keep = keys <= base
         keys, cnt = keys[keep], cnt[keep]
@@ -291,8 +306,8 @@ def _iterated_top(spec: SystemSpec, keys, weights, budget: int, halved: bool):
     every delta key to every key of the level below. The pairs are laid
     out delta-major, delta keys increasing: one sorted run per delta.
     ``sum_by_key`` sums equal keys in input order, so this layout fixes the
-    order in which every value is added up, and pinned weighted bits rely
-    on it. With ``halved`` the top level is built to the centre only.
+    order in which every weighted value is added up. With ``halved`` the
+    top level is built to the centre only.
 
     Level L refuses when level L-1 has more keys than a full expansion fits
     in the budget. Below the top, level L's keys are exactly those of level
@@ -335,15 +350,15 @@ def _iterated_top(spec: SystemSpec, keys, weights, budget: int, halved: bool):
 def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = True):
     """Sorted packed keys key = base + A * stride + B of the b-tuple table, and their values.
 
-    Two builders give the same bytes. Unweighted tables whose multiset bound
-    fits the budget (``_multisets_fit``) are built by ``_multiset_top``: one
-    row per non-decreasing tuple and one sort, at the top level. Those
-    inputs cannot refuse. Weighted tables, whose float sums depend on the
-    order of addition, and unweighted ones that may refuse, whose refusals
-    depend on the exact key count of every level, are built by
-    ``_iterated_top``, which expands and sums every level and refuses when
-    a level would not fit the budget. The choice depends on the spec and
-    the budget only.
+    Two builders give the same keys. Tables whose multiset bound fits the
+    budget (``_multisets_fit``) are built by ``_multiset_top``: one row per
+    non-decreasing tuple and one sort, at the top level. Those inputs cannot
+    refuse. Tables that may refuse, whose refusals depend on the exact key
+    count of every level, are built by ``_iterated_top``, which expands and
+    sums every level and refuses when a level would not fit the budget. The
+    choice depends on the spec, the weighting and the budget only. Counts
+    have the same bytes either way; a weighted value is the same sum of
+    terms, added in another order, so it may differ in its last bits.
 
     For odd d an unweighted table is symmetric under (A, B) -> (-A, -B),
     i.e. key -> 2 base - key, so for b >= 2 its top level is built to the
@@ -357,8 +372,8 @@ def _build_sparse(spec: SystemSpec, weights, budget: int, mirror_top: bool = Tru
     base = np.int64(spec.a_extent) * stride + spec.b_extent
     keys += base
     halved = weights is None and spec.d % 2 == 1 and spec.b > 1
-    if weights is None and _multisets_fit(spec, budget):
-        keys, vals = _multiset_top(spec, keys, halved)
+    if _multisets_fit(spec, budget, weights is not None):
+        keys, vals = _multiset_top(spec, keys, weights, halved)
     else:
         if weights is None:
             weights = np.ones(len(keys), dtype=np.int64)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dispersive_lab import cli, counting, kernels, weyl
+from dispersive_lab import cli, counting, kernels, strichartz, weyl
 from dispersive_lab.counting import (
     DEFAULT_SIEVE_LIMIT,
     BudgetExceededError,
@@ -242,9 +242,10 @@ def recording_builders(monkeypatch):
 def test_sparse_refusals_match_exact_key_count_rule(monkeypatch):
     # a build refuses exactly when some level L-1 has more keys than a full
     # level-L expansion fits; the early bound may only refuse it one level
-    # sooner, and a build that completes keeps every key and value byte,
-    # whichever builder ran: the multiset one for unit weights whose bound
-    # fits, the iterated one for the rest
+    # sooner, and a build that completes keeps every key byte, whichever
+    # builder ran: the multiset one when its bound fits, the iterated one for
+    # the rest. Counts keep every byte; weighted values, which the multiset
+    # builder adds in another order, stay within 2 b eps of the table of |weights|
     budgets = [2**e for e in range(16, 25)]
     rng = np.random.default_rng(18)
     kinds = collections.Counter()
@@ -255,6 +256,8 @@ def test_sparse_refusals_match_exact_key_count_rule(monkeypatch):
                 unit = np.ones(2 * N + 1, dtype=np.int64)
                 weights = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
                 weights[rng.random(2 * N + 1) < 0.3] = 0  # zero sums keep their keys
+                # the sum of |term| at each key, at the keys of the weighted table
+                scale = reference_levels(spec, np.abs(weights) + 0j, budgets[-1])[-1][1].real
                 for w, given in ((unit, None), (weights, weights)):
                     levels = reference_levels(spec, w, budgets[-1])
                     itemsize = 8 + w.itemsize
@@ -275,7 +278,11 @@ def test_sparse_refusals_match_exact_key_count_rule(monkeypatch):
                                     spec, given, budget, mirror_top=mirror_top)
                                 assert got_keys.tobytes() == keys[part].tobytes()
                                 assert got_vals.dtype == vals.dtype
-                                assert got_vals.tobytes() == vals[part].tobytes()
+                                if given is None:
+                                    assert got_vals.tobytes() == vals[part].tobytes()
+                                else:
+                                    err = np.abs(got_vals - vals)
+                                    assert np.all(err <= 2 * b * np.finfo(float).eps * scale)
                             assert len(set(ran)) == 1
                             kinds[ran[0]] += 1
                             continue
@@ -298,16 +305,19 @@ def test_sparse_refusals_match_exact_key_count_rule(monkeypatch):
         assert ran == ["_multiset_top"], dbn
 
 
-@pytest.mark.parametrize("dbn, build", [
-    ((3, 4, 32), lambda: count_S(SystemSpec(3, 4, 32), mem_budget=2**28)),
-    ((5, 6, 12), lambda: count_S(SystemSpec(5, 6, 12), mem_budget=2**28)),
-    ((7, 3, 64), lambda: max_offcurve_solution_count(7, 64)),
-], ids=["count_S-d3-b4-N32", "count_S-d5-b6-N12", "offcurve-d7-N64"])
-def test_multiset_builds_stay_within_planned_bytes(monkeypatch, dbn, build):
+@pytest.mark.parametrize("dbn, width, build", [
+    ((3, 4, 32), 16, lambda: count_S(SystemSpec(3, 4, 32), mem_budget=2**28)),
+    ((5, 6, 12), 16, lambda: count_S(SystemSpec(5, 6, 12), mem_budget=2**28)),
+    ((7, 3, 64), 16, lambda: max_offcurve_solution_count(7, 64)),
+    ((5, 6, 12), 24, lambda: strichartz.even_norm(
+        strichartz.CoefficientVector(12, np.random.default_rng(7).normal(size=25) + 1j),
+        6, 5, mem_budget=2**28)),
+], ids=["count_S-d3-b4-N32", "count_S-d5-b6-N12", "offcurve-d7-N64", "even_norm-d5-b6-N12"])
+def test_multiset_builds_stay_within_planned_bytes(monkeypatch, dbn, width, build):
     # the largest benchmark builds on the multiset path hold no more than the
-    # planned C(2N+b-1, b-1) (2N+1) pairs of 16 bytes at their peak
+    # planned C(2N+b-1, b-1) (2N+1) pairs of 16 bytes (24 weighted) at their peak
     d, b, N = dbn
-    planned = math.comb(2 * N + b - 1, b - 1) * (2 * N + 1) * 16
+    planned = math.comb(2 * N + b - 1, b - 1) * (2 * N + 1) * width
     ran = recording_builders(monkeypatch)
     tracemalloc.start()
     try:
@@ -317,6 +327,48 @@ def test_multiset_builds_stay_within_planned_bytes(monkeypatch, dbn, build):
         tracemalloc.stop()
     assert ran == ["_multiset_top"]
     assert peak <= planned, (peak, planned)
+
+
+def test_weighted_multiset_tables_match_tuple_sums(monkeypatch):
+    # every ordering of a multiset has the same weight product, so one row per
+    # multiset, its count times that product, gives the sum over all b-tuples;
+    # the oracle adds each key's products exactly (fsum), and the table stays
+    # within 2 b eps of the sum of their magnitudes
+    rng = np.random.default_rng(5)
+    for d, b, N in ((3, 3, 4), (5, 4, 3), (7, 2, 5)):
+        weights = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+        terms = collections.defaultdict(list)
+        for tup in itertools.product(range(-N, N + 1), repeat=b):
+            terms[sum(tup), sum(n**d for n in tup)].append(
+                math.prod(complex(weights[n + N]) for n in tup))
+        ran = recording_builders(monkeypatch)
+        got = entries(power_sum_distribution(SystemSpec(d, b, N), weights))
+        assert ran == ["_multiset_top"], (d, b, N)
+        assert got.keys() == terms.keys()
+        for key, products in terms.items():
+            exact = complex(math.fsum(p.real for p in products),
+                            math.fsum(p.imag for p in products))
+            scale = math.fsum(abs(p) for p in products)
+            assert abs(got[key] - exact) <= 2 * b * np.finfo(float).eps * scale, (d, b, N, key)
+
+
+def test_weighted_counts_past_2_53_expand_every_level(monkeypatch):
+    # a multiset count reaches b!, and 19! > 2^53 would not convert exactly to
+    # float64: a weighted b = 19 table takes the iterated builder, whose bytes
+    # are those of plain expansion, while 18! < 2^53 and int64 counts still fit
+    budget = counting.DEFAULT_MEM_BUDGET
+    spec = SystemSpec(3, 19, 1)
+    assert not counting._multisets_fit(spec, budget, weighted=True)
+    assert counting._multisets_fit(SystemSpec(3, 18, 1), budget, weighted=True)
+    assert counting._multisets_fit(spec, budget)
+    weights = np.array([0.5 - 0.25j, 1.0 + 0.5j, -0.75 + 1j])
+    ran = recording_builders(monkeypatch)
+    keys, vals = counting._build_sparse(spec, weights, budget)
+    assert ran == ["_iterated_top"]
+    levels = reference_levels(spec, weights, budget)
+    assert len(levels) == 19
+    assert keys.tobytes() == levels[-1][0].tobytes()
+    assert vals.tobytes() == levels[-1][1].tobytes()
 
 
 def test_benchmark_refusals_stay_small(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dispersive_lab import counting, strichartz
+from dispersive_lab import counting, kernels, strichartz
 from dispersive_lab.counting import BudgetExceededError, SystemSpec, count_S
 from dispersive_lab.kernels import curve_sum
 from dispersive_lab.norms import TimeWindow
@@ -58,15 +58,16 @@ def test_even_norm_bits_pinned():
 
 
 def test_even_norm_bits_pinned_large_sparse(monkeypatch):
-    # a sparse top level of 2,057,875 pairs: the bits that the stable lexsort
-    # reducer gave, whatever sort the reducer uses
+    # a sparse top level of C(30, 6) = 593,775 multiset rows, summed once on the
+    # packed sort: the bits that expanding every level through the stable
+    # lexsort reducer gave, whatever sort the reducer uses
     pairs = []
     sum_by_key = counting.sum_by_key
-    monkeypatch.setattr(counting, "sum_by_key",
-                        lambda cols, vals: pairs.append(len(vals)) or sum_by_key(cols, vals))
+    monkeypatch.setattr(counting, "sum_by_key", lambda cols, vals: pairs.append(
+        (len(vals), kernels._packing(cols) is not None)) or sum_by_key(cols, vals))
     vec = random_vec(np.random.default_rng(7), 12)
     assert even_norm(vec, 6, 5).hex() == "0x1.9a73374f6067bp+0"
-    assert max(pairs) == 2_057_875
+    assert pairs == [(593_775, True)]
 
 
 def test_even_norm_reflection_covariant():
